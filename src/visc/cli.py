@@ -9,7 +9,6 @@ configuration error, 2 scientific check failure.
 from __future__ import annotations
 
 import hashlib
-import os
 import sys
 from pathlib import Path
 
@@ -29,15 +28,6 @@ from .transform import Transformation, gauge_from_identifier
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CHECK = 2
-
-
-def _workers() -> int:
-    cap = os.environ.get("VISC_THREADS")
-    try:
-        cap = max(1, int(cap)) if cap else 1
-    except ValueError:
-        cap = 1
-    return min(cap, os.cpu_count() or 1)
 
 
 class Artifacts:
@@ -62,7 +52,6 @@ class Artifacts:
             "config": self.config,
             "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
             "files": sorted(self.files),
-            "workers": _workers(),
         }
         (self.dir / "manifest.json").write_text(jsonio.dumps(manifest))
 

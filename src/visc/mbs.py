@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .hamiltonian import CheckReport, HamiltonianSpec, ModulusFamily
-from .osgood import OsgoodFunction
+from .osgood import OsgoodFunction, refine_max
 from .transform import GaugeFunction, affine_sq_gauge
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -80,14 +80,6 @@ class MbsModel:
         ]
         c = np.mean(centers, axis=0) if centers else np.zeros(self.dim_state)
         return c - rad, c + rad
-
-    def _scan_points(self, per_dim: int | None = None) -> np.ndarray:
-        n = self.dim_state
-        per_dim = per_dim or {1: 4001, 2: 161, 3: 41}.get(n, 41)
-        lo, hi = self.scan_box()
-        axes = [np.linspace(lo[i], hi[i], per_dim) for i in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, n)
 
     def _lip_hess_trace_scan(self) -> float:
         """Spatial Lipschitz constant of tr(sigma sigma^T D^2 h), by a dense
@@ -303,31 +295,11 @@ def _lower_barrier_closed(m: MbsModel, t: float) -> float:
     return math.exp(-float(R(t))) * (u0_inf + integral)
 
 
-def _refine_max(fn: Callable[[float], float], lo: float, hi: float, n: int = 1001):
-    """Grid maximum refined by ternary search between the best point's
-    neighbours; returns (argmax, max)."""
-    ts = np.linspace(lo, hi, n)
-    vals = np.array([fn(t) for t in ts])
-    k = int(np.argmax(vals))
-    a, b = ts[max(k - 1, 0)], ts[min(k + 1, n - 1)]
-    for _ in range(80):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if fn(m1) < fn(m2):
-            a = m1
-        else:
-            b = m2
-    mid = 0.5 * (a + b)
-    if fn(mid) > vals[k]:
-        return mid, fn(mid)
-    return float(ts[k]), float(vals[k])
-
-
 def barrier_pair(m: MbsModel) -> BarrierPair:
     if "barriers" in m._cache:
         return m._cache["barriers"]
     b = m.bounds()
-    _, sup_klow = _refine_max(lambda t: _lower_barrier_closed(m, t), 0.0, m.T)
+    sup_klow = refine_max(lambda t: _lower_barrier_closed(m, t), 0.0, m.T, 1001)
     c0 = max(b["u0_sup"], sup_klow)
 
     def k0_integrand(t: float) -> float:
@@ -335,8 +307,7 @@ def barrier_pair(m: MbsModel) -> BarrierPair:
         num = _sup_source(m, t) - c0 * r
         return max(num, 0.0) / (1.0 + t * r)
 
-    _, K0 = _refine_max(k0_integrand, 0.0, m.T)
-    K0 = max(K0, 0.0)
+    K0 = max(refine_max(k0_integrand, 0.0, m.T, 1001), 0.0)
 
     def k_lower(t: float) -> float:
         return lower_barrier(m, t)
@@ -346,13 +317,14 @@ def barrier_pair(m: MbsModel) -> BarrierPair:
             raise DomainError(f"t = {t!r} outside [0, {m.T!r})")
         return K0 * t + c0
 
-    _, neg_m0 = _refine_max(
+    neg_m0 = refine_max(
         lambda t: -(_lower_barrier_closed(m, t) + m.h.inf_at(t) + float(m.xi(t))),
         0.0,
         m.T,
+        1001,
     )
     m0 = -neg_m0
-    _, sup_hxi = _refine_max(lambda t: m.h.sup_at(t) + float(m.xi(t)), 0.0, m.T)
+    sup_hxi = refine_max(lambda t: m.h.sup_at(t) + float(m.xi(t)), 0.0, m.T, 1001)
     M0 = K0 * m.T + c0 + sup_hxi
     pair = BarrierPair(k_lower, k_upper, K0, c0, m0, M0)
     m._cache["barriers"] = pair

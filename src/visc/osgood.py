@@ -111,6 +111,25 @@ def scaled(gamma: OsgoodFunction, factor: float) -> OsgoodFunction:
     )
 
 
+def refine_max(fn: Callable[[float], float], lo: float, hi: float, n: int) -> float:
+    """Maximum of fn over [lo, hi]: the best of n grid points, refined by a
+    ternary search between that point's neighbours."""
+    xs = np.linspace(lo, hi, n)
+    vals = np.array([fn(x) for x in xs])
+    k = int(np.argmax(vals))
+    a = xs[max(k - 1, 0)]
+    b = xs[min(k + 1, n - 1)]
+    # 80 iterations shrink the bracket below 1e-15
+    for _ in range(80):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if fn(m1) < fn(m2):
+            a = m1
+        else:
+            b = m2
+    return max(float(vals[k]), float(fn(0.5 * (a + b))))
+
+
 def sup_formula(h: float, interval: tuple[float, float], n_grid: int = 1000) -> float:
     """Brute-force sup of x log(x) - (x+h) log(x+h) over x in the interval.
 
@@ -127,24 +146,7 @@ def sup_formula(h: float, interval: tuple[float, float], n_grid: int = 1000) -> 
     def xlogx(x: float) -> float:
         return x * math.log(x) if x > 0.0 else 0.0
 
-    def obj(x: float) -> float:
-        return xlogx(x) - xlogx(x + h)
-
-    lo, hi = interval
-    xs = np.linspace(lo, hi, n_grid)
-    vals = np.array([obj(x) for x in xs])
-    k = int(np.argmax(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, n_grid - 1)]
-    # ternary search on the bracket; 80 iterations shrink it below 1e-15
-    for _ in range(80):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if obj(m1) < obj(m2):
-            a = m1
-        else:
-            b = m2
-    return max(float(vals[k]), obj(0.5 * (a + b)))
+    return refine_max(lambda x: xlogx(x) - xlogx(x + h), *interval, n_grid)
 
 
 def divergence_score(

@@ -1,21 +1,26 @@
 """Explicit monotone finite-difference solver on a truncated box.
 
-The scheme is explicit Euler in time with central second differences for the
-diffusion, upwind differences for the drift and a Lax-Friedrichs
-regularization of the quadratic gradient term:
+The scheme is explicit Euler in time.  One linear stencil serves both the
+pricing unknown U and the straightened unknown v: central second differences
+for the diffusion, upwind differences for the drift and Lax-Friedrichs
+dissipation for the gradient-quadratic terms,
 
-    U_i^{n+1} = U_i + dt [ sum_k a_kk D2_k U
-                           + mu_k^+ D+_k U - mu_k^- D-_k U
-                           - rho |sigma^T Dc U|^2 / den
-                           + sum_k (theta_k dx_k / 2) D2_k U
-                           - r (U + h) + tau h ]
+    W_i^{n+1} = W_i + dt [ sum_k (a_kk + theta_k dx_k) / 2 D2_k W
+                           + mu_k^+ D+_k W - mu_k^- D-_k W
+                           + reaction(x, t, W, Dc W) ].
 
-with den = U + h + xi floored at m0/2 (diagnostic flag when the floor binds).
-With theta_k at least the sampled sup of |dH/dp_k| and dt under the CFL
-bound, every node update is nondecreasing in each stencil value, giving the
-discrete comparison property the tests lean on.  The boundary ring is
-refreshed by constant extrapolation from the nearest interior node; the
-equation itself is posed on all of R^N, so truncation is ours, and runs
+Each problem supplies only its reaction term.  For U it is
+
+    - rho |sigma^T Dc U|^2 / den - r (U + h) + tau h,
+
+with den = U + h + xi floored at m0/2 (diagnostic flag when the floor binds);
+for v it is the gauge-curvature and transformed quadratic terms plus the
+zero-order source.  With theta_k at least the sampled sup of |dH/dp_k| and
+dt under the CFL bound, every node update is nondecreasing in each stencil
+value, giving the discrete comparison property the tests lean on.  theta is
+fixed for a run, so the CFL bound is checked once per run.  The boundary
+ring is refreshed by constant extrapolation from the nearest interior node;
+the equation itself is posed on all of R^N, so truncation is ours, and runs
 report when the reserved padding margin is exhausted.
 """
 
@@ -140,8 +145,10 @@ def _shifted(values: np.ndarray, axis: int, step: int) -> np.ndarray:
     return values[tuple(sl)]
 
 
-class PricingProblem:
-    """RHS assembly for the pricing equation in the original unknown U."""
+class _MonotoneStencil:
+    """The linear monotone stencil both unknowns share: per-axis diffusion,
+    upwind drift and Lax-Friedrichs dissipation, plus the central gradient
+    handed to the subclass's reaction term."""
 
     def __init__(self, model: MbsModel, grid: GridSpec):
         if grid.dim != model.dim_state:
@@ -154,9 +161,42 @@ class PricingProblem:
         self.model = model
         self.grid = grid
         self.diffusion = np.diag(W)
-        self.points = grid.points()
-        self.x_int = self.points[tuple(slice(1, -1) for _ in range(grid.dim))]
+        self.x_int = grid.points()[tuple(slice(1, -1) for _ in range(grid.dim))]
         self.mu_int = model.mu.value(self.x_int, 0.0)
+        b = model.bounds()
+        self.mu_sup = b["mu_sup"]
+        self.r_sup = b["r_max"]
+
+    def grad_bound(self) -> float:
+        b = self.model.bounds()
+        return 2.0 * (b["u0_lip"] + b["grad_h_sup"] + 1.0)
+
+    def _reaction(self, W: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
+        raise NotImplementedError
+
+    def rhs(self, values: np.ndarray, t: float, theta: Sequence[float]) -> np.ndarray:
+        dx = self.grid.dx
+        W = _interior(values)
+        out = np.zeros_like(W)
+        grad = np.empty(W.shape + (self.grid.dim,))
+        for ax in range(self.grid.dim):
+            up = _shifted(values, ax, +1)
+            dn = _shifted(values, ax, -1)
+            second = (up - 2.0 * W + dn) / dx[ax] ** 2
+            out += 0.5 * (self.diffusion[ax] + theta[ax] * dx[ax]) * second
+            mu_ax = self.mu_int[..., ax]
+            out += np.maximum(mu_ax, 0.0) * (up - W) / dx[ax]
+            out -= np.maximum(-mu_ax, 0.0) * (W - dn) / dx[ax]
+            grad[..., ax] = (up - dn) / (2.0 * dx[ax])
+        return out + self._reaction(W, grad, t)
+
+
+class PricingProblem(_MonotoneStencil):
+    """The pricing equation in the original unknown U; its reaction term is
+    -rho |sigma^T Dc U|^2 / den - r (U + h) + tau h."""
+
+    def __init__(self, model: MbsModel, grid: GridSpec):
+        super().__init__(model, grid)
         if model.rho > 0.0:
             pair = barrier_pair(model)
             if pair.m0 <= 0.0:
@@ -167,13 +207,7 @@ class PricingProblem:
             self.den_floor = 0.5 * pair.m0
         else:
             self.den_floor = None
-        self.mu_sup = model.bounds()["mu_sup"]
-        self.r_sup = model.bounds()["r_max"]
         self.flags = {"denominator_clamped": False}
-
-    def grad_bound(self) -> float:
-        b = self.model.bounds()
-        return 2.0 * (b["u0_lip"] + b["grad_h_sup"] + 1.0)
 
     def dH_dp_samples(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """|dH/dp_k| samples of the quadratic term over the barrier-bounded
@@ -186,92 +220,47 @@ class PricingProblem:
         P = self.grad_bound()
         us = rng.uniform(self.den_floor, pair.M0 + pair.m0, n)
         ps = rng.uniform(-P, P, (n, self.grid.dim))
-        out = np.empty((n, self.grid.dim))
-        for i in range(n):
-            sp = sig.T @ ps[i]
-            out[i] = np.abs(2.0 * m.rho * (sig @ sp) / us[i])
-        return out
+        return np.abs(2.0 * m.rho * ((ps @ sig) @ sig.T) / us[:, None])
 
-    def rhs(self, values: np.ndarray, t: float, theta: Sequence[float]) -> np.ndarray:
+    def _reaction(self, U: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         m = self.model
-        g = self.grid
-        dx = g.dx
-        U = _interior(values)
         h_int = m.h.value(self.x_int, t)
-        out = np.zeros_like(U)
-        grad_c = []
-        for ax in range(g.dim):
-            up = _shifted(values, ax, +1)
-            dn = _shifted(values, ax, -1)
-            second = (up - 2.0 * U + dn) / dx[ax] ** 2
-            out += 0.5 * self.diffusion[ax] * second
-            mu_ax = self.mu_int[..., ax]
-            out += np.maximum(mu_ax, 0.0) * (up - U) / dx[ax]
-            out -= np.maximum(-mu_ax, 0.0) * (U - dn) / dx[ax]
-            grad_c.append((up - dn) / (2.0 * dx[ax]))
+        out = m.tau * h_int - float(m.r(t)) * (U + h_int)
         if m.rho > 0.0:
-            sig = m.sigma.value(t)
-            grad = np.stack(grad_c, axis=-1)
-            sp = grad @ sig
+            sp = grad @ m.sigma.value(t)
             den = U + h_int + float(m.xi(t))
             if np.any(den < self.den_floor):
                 self.flags["denominator_clamped"] = True
                 den = np.maximum(den, self.den_floor)
             out -= m.rho * np.sum(sp * sp, axis=-1) / den
-        for ax in range(g.dim):
-            if theta[ax] > 0.0:
-                up = _shifted(values, ax, +1)
-                dn = _shifted(values, ax, -1)
-                out += 0.5 * theta[ax] / dx[ax] * (up - 2.0 * U + dn)
-        out -= float(m.r(t)) * (U + h_int)
-        out += m.tau * h_int
         return out
 
 
-class StraightenedProblem:
-    """RHS assembly for the straightened unknown v = Psi(U + h + xi).
+class StraightenedProblem(_MonotoneStencil):
+    """The straightened unknown v = Psi(U + h + xi).
 
-    The v-equation carries the same diffusion and drift, two gradient-
-    quadratic terms (one from the gauge curvature, one from the original
-    quadratic term) handled by the Lax-Friedrichs dissipation, and the
-    zero-order source (r I(v) + g) / I'(v).
+    The v-equation carries the same diffusion and drift; its reaction term
+    holds two gradient-quadratic terms (one from the gauge curvature, one
+    from the original quadratic term), which the Lax-Friedrichs dissipation
+    dominates, and the zero-order source (r I(v) + g) / I'(v).
     """
 
     def __init__(self, model: MbsModel, transf: Transformation, grid: GridSpec):
-        if grid.dim != model.dim_state:
-            raise ConfigurationError("grid dimension does not match the model")
-        W = model.sigma.diffusion()
-        if np.max(np.abs(W - np.diag(np.diag(W)))) > 1e-14:
-            raise ConfigurationError(
-                "monotone stencil requires a diagonal diffusion sigma sigma^T"
-            )
-        self.model = model
+        super().__init__(model, grid)
         self.transf = transf
-        self.grid = grid
-        self.diffusion = np.diag(W)
         self.inv = transf.inverse_interpolant()
-        self.x_int = grid.points()[tuple(slice(1, -1) for _ in range(grid.dim))]
-        self.mu_int = model.mu.value(self.x_int, 0.0)
-        self.mu_sup = model.bounds()["mu_sup"]
-        self.r_sup = model.bounds()["r_max"]
-        self.flags = {"v_range_clamped": False}
         self.v_lo, self.v_hi = transf.v_range
+        self.flags = {"v_range_clamped": False}
 
     def grad_bound(self) -> float:
-        b = self.model.bounds()
-        lam0 = self.transf.gauge.lambda0
-        return 2.0 * (b["u0_lip"] + b["grad_h_sup"] + 1.0) / math.sqrt(lam0)
+        return super().grad_bound() / math.sqrt(self.transf.gauge.lambda0)
 
     def _gauge_at(self, v: np.ndarray):
         vv = np.clip(v, self.v_lo, self.v_hi)
         if np.any(v < self.v_lo) or np.any(v > self.v_hi):
             self.flags["v_range_clamped"] = True
         u = self.inv(vv)
-        z = np.vectorize(self.transf.gauge.z)(u)
-        zp = np.vectorize(self.transf.gauge.z_prime)(u)
-        ip = np.sqrt(z)
-        ipp = 0.5 * zp
-        return u, ip, ipp
+        return u, np.sqrt(self.transf.gauge.z(u)), 0.5 * self.transf.gauge.z_prime(u)
 
     def dH_dp_samples(self, rng: np.random.Generator, n: int) -> np.ndarray:
         m = self.model
@@ -284,45 +273,26 @@ class StraightenedProblem:
         vs = rng.uniform(self.v_lo, self.v_hi, n)
         ps = rng.uniform(-P, P, (n, self.grid.dim))
         u, ip, ipp = self._gauge_at(vs)
-        out = np.empty((n, self.grid.dim))
-        for i in range(n):
-            sp = sig.T @ ps[i]
-            dh = sig.T @ m.h.grad(xs[i], ts[i])
-            quad_grad = 2.0 * m.rho * ip[i] * (sig @ (ip[i] * sp - dh)) / (u[i] * ip[i])
-            curv_grad = (ipp[i] / ip[i]) * (sig @ sp)
-            out[i] = np.abs(quad_grad) + np.abs(curv_grad)
-        return out
+        sp = ps @ sig
+        dh = m.h.grad(xs, ts[:, None]) @ sig
+        quad_grad = (
+            (2.0 * m.rho * ip)[:, None] * ((ip[:, None] * sp - dh) @ sig.T)
+            / (u * ip)[:, None]
+        )
+        curv_grad = (ipp / ip)[:, None] * (sp @ sig.T)
+        return np.abs(quad_grad) + np.abs(curv_grad)
 
-    def rhs(self, values: np.ndarray, t: float, theta: Sequence[float]) -> np.ndarray:
+    def _reaction(self, V: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         m = self.model
-        g = self.grid
-        dx = g.dx
-        V = _interior(values)
-        out = np.zeros_like(V)
-        grad_c = []
-        for ax in range(g.dim):
-            up = _shifted(values, ax, +1)
-            dn = _shifted(values, ax, -1)
-            out += 0.5 * self.diffusion[ax] * (up - 2.0 * V + dn) / dx[ax] ** 2
-            mu_ax = self.mu_int[..., ax]
-            out += np.maximum(mu_ax, 0.0) * (up - V) / dx[ax]
-            out -= np.maximum(-mu_ax, 0.0) * (V - dn) / dx[ax]
-            grad_c.append((up - dn) / (2.0 * dx[ax]))
-        grad = np.stack(grad_c, axis=-1)
         sig = m.sigma.value(t)
         u, ip, ipp = self._gauge_at(V)
         sp = grad @ sig
-        dh = m.h.grad(self.x_int, t) @ sig
-        num = ip[..., None] * sp - dh
-        out -= m.rho * np.sum(num * num, axis=-1) / (u * ip)
-        out += (0.5 * ipp / ip) * np.sum(sp * sp, axis=-1)
-        out -= (float(m.r(t)) * u + source_g(m, self.x_int, t)) / ip
-        for ax in range(g.dim):
-            if theta[ax] > 0.0:
-                up = _shifted(values, ax, +1)
-                dn = _shifted(values, ax, -1)
-                out += 0.5 * theta[ax] / dx[ax] * (up - 2.0 * V + dn)
-        return out
+        num = ip[..., None] * sp - m.h.grad(self.x_int, t) @ sig
+        return (
+            (0.5 * ipp / ip) * np.sum(sp * sp, axis=-1)
+            - m.rho * np.sum(num * num, axis=-1) / (u * ip)
+            - (float(m.r(t)) * u + source_g(m, self.x_int, t)) / ip
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +341,13 @@ def _check_cfl(problem, cfg: SchemeConfig):
         )
 
 
+def _advance(field_in: GridField, problem, theta: Sequence[float], dt: float) -> GridField:
+    interior_new = _interior(field_in.values) + dt * problem.rhs(
+        field_in.values, field_in.t, theta
+    )
+    return GridField(field_in.grid, field_in.t + dt, np.pad(interior_new, 1, mode="edge"))
+
+
 def step(field_in: GridField, problem, cfg: SchemeConfig) -> GridField:
     """One explicit Euler step; the update is monotone in each neighbour."""
     if cfg.dt == 0.0:
@@ -378,10 +355,7 @@ def step(field_in: GridField, problem, cfg: SchemeConfig) -> GridField:
     if field_in.grid != problem.grid:
         raise ConfigurationError("field grid does not match the problem grid")
     _check_cfl(problem, cfg)
-    rhs = problem.rhs(field_in.values, field_in.t, cfg.theta)
-    interior_new = _interior(field_in.values) + cfg.dt * rhs
-    values_new = np.pad(interior_new, 1, mode="edge")
-    return GridField(field_in.grid, field_in.t + cfg.dt, values_new)
+    return _advance(field_in, problem, cfg.theta, cfg.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +378,32 @@ class SolveResult:
         return self.fields[-1]
 
 
-def _sandwich_annotate(model: MbsModel, field_out: GridField, K0: float, pair):
-    tol = 2.0 * max(field_out.grid.dx) * (1.0 + K0)
+def _march(
+    problem, current: GridField, cfg: SchemeConfig, t_end: float, on_record=None
+) -> SolveResult:
+    """Step from `current` to t_end, the last step clipped to land on it,
+    recording the start, every record_every-th step and the end.
+
+    theta is fixed for the run and every dt_k <= cfg.dt, so one CFL check
+    covers every step.  on_record, if given, is called on each recorded field.
+    """
+    _check_cfl(problem, cfg)
+    fields = [current]
+    n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
+    for k in range(n_steps):
+        current = _advance(current, problem, cfg.theta, min(cfg.dt, t_end - current.t))
+        if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
+            fields.append(current)
+    if on_record is not None:
+        for f in fields:
+            on_record(f)
+    flags = dict(problem.flags)
+    flags["steps"] = n_steps
+    return SolveResult(fields, cfg, flags)
+
+
+def _sandwich_annotate(model: MbsModel, pair, field_out: GridField):
+    tol = 2.0 * max(field_out.grid.dx) * (1.0 + pair.K0)
     t = min(field_out.t, model.T * (1.0 - 1e-12))
     klo = pair.k_lower(t)
     kup = pair.k_upper(t)
@@ -440,22 +438,14 @@ def solve(
     if t_end >= model.T:
         raise ConfigurationError(f"t_end = {t_end!r} must stay below maturity {model.T!r}")
     pair = barrier_pair(model)
-    u0_vals = model.U0.value(grid.points(), 0.0)
-    current = GridField(grid, 0.0, u0_vals)
-    _sandwich_annotate(model, current, pair.K0, pair)
-    fields = [current]
-    n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
-    for k in range(n_steps):
-        dt_k = min(cfg.dt, t_end - current.t)
-        current = step(current, problem, replace(cfg, dt=dt_k))
-        if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-            _sandwich_annotate(model, current, pair.K0, pair)
-            fields.append(current)
-    flags = dict(problem.flags)
-    flags["steps"] = n_steps
-    flags["boundary_influence_nodes"] = n_steps
-    flags["padding_margin_exhausted"] = n_steps > grid.padding
-    return SolveResult(fields, cfg, flags)
+    start = GridField(grid, 0.0, model.U0.value(grid.points(), 0.0))
+    result = _march(
+        problem, start, cfg, t_end, lambda f: _sandwich_annotate(model, pair, f)
+    )
+    n_steps = result.flags["steps"]
+    result.flags["boundary_influence_nodes"] = n_steps
+    result.flags["padding_margin_exhausted"] = n_steps > grid.padding
+    return result
 
 
 def solve_transformed(
@@ -474,18 +464,8 @@ def solve_transformed(
         t_end = model.T - cfg.dt
     pts = grid.points()
     u0 = model.U0.value(pts, 0.0) + model.h.value(pts, 0.0) + float(model.xi(0.0))
-    v0 = np.array([problem.transf.psi(u) for u in u0.ravel()]).reshape(u0.shape)
-    current = GridField(grid, 0.0, v0)
-    fields = [current]
-    n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
-    for k in range(n_steps):
-        dt_k = min(cfg.dt, t_end - current.t)
-        current = step(current, problem, replace(cfg, dt=dt_k))
-        if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-            fields.append(current)
-    flags = dict(problem.flags)
-    flags["steps"] = n_steps
-    return SolveResult(fields, cfg, flags)
+    v0 = np.array([transf.psi(u) for u in u0.ravel()]).reshape(u0.shape)
+    return _march(problem, GridField(grid, 0.0, v0), cfg, t_end)
 
 
 def map_back(result: SolveResult, transf: Transformation) -> list[GridField]:
@@ -605,7 +585,9 @@ def lipschitz_audit(
     model = rd.model
     worst = -math.inf
     worst_sample: dict = {}
+    n_fields = 0
     for field_k in run:
+        n_fields += 1
         g = field_k.grid
         t = min(field_k.t, model.T * (1.0 - 1e-12))
         pts = g.points()
@@ -621,7 +603,7 @@ def lipschitz_audit(
                                 "bound": bound, "slack": slack}
     return CheckReport(
         check="lipschitz-audit",
-        samples_tested=len(list(run)),
+        samples_tested=n_fields,
         max_violation=worst,
         worst_sample=worst_sample,
         seed=seed,

@@ -30,11 +30,15 @@ _TABLE_SIZE = 512
 
 @dataclass(frozen=True)
 class GaugeFunction:
-    """A positive gauge z with derivative and bounds on a working interval."""
+    """A positive gauge z with derivative and bounds on a working interval.
+
+    z and z_prime are elementwise: a float gives a float, an array an array
+    of the same shape.
+    """
 
     name: str
-    z: Callable[[float], float]
-    z_prime: Callable[[float], float]
+    z: Callable[[np.ndarray], np.ndarray]
+    z_prime: Callable[[np.ndarray], np.ndarray]
     lambda0: float
     Lambda0: float
     domain: tuple[float, float]
@@ -77,7 +81,7 @@ class Transformation:
             )
         self.base_point = base
         us = np.linspace(lo, hi, _TABLE_SIZE)
-        zs = np.array([self.gauge.z(u) for u in us])
+        zs = self.gauge.z(us)
         if np.any(zs <= 0.0):
             bad = us[int(np.argmin(zs))]
             raise ConfigurationError(
@@ -180,7 +184,9 @@ class Transformation:
 
 
 def unit_gauge(domain: tuple[float, float] = (0.0, 1.0)) -> GaugeFunction:
-    return GaugeFunction("unit", lambda u: 1.0, lambda u: 0.0, 1.0, 1.0, domain)
+    return GaugeFunction(
+        "unit", lambda u: 1.0 + 0.0 * u, lambda u: 0.0 * u, 1.0, 1.0, domain
+    )
 
 
 def shift_sq_gauge(domain: tuple[float, float]) -> GaugeFunction:
@@ -221,8 +227,8 @@ def exp_gauge(domain: tuple[float, float]) -> GaugeFunction:
     a, b = domain
     return GaugeFunction(
         "exp",
-        lambda u: math.exp(-2.0 * u),
-        lambda u: -2.0 * math.exp(-2.0 * u),
+        lambda u: np.exp(-2.0 * u),
+        lambda u: -2.0 * np.exp(-2.0 * u),
         math.exp(-2.0 * b),
         math.exp(-2.0 * a),
         domain,
@@ -257,17 +263,16 @@ def arctan_gauge(beta: float, domain: tuple[float, float]) -> GaugeFunction:
             f"arctan gauge needs 8*beta > pi^2, got beta = {beta!r}"
         )
 
-    def z(u: float) -> float:
-        return (u * u + 1.0) ** 2 * (beta - 0.5 * math.atan(u) ** 2) ** 2
+    def z(u):
+        return (u * u + 1.0) ** 2 * (beta - 0.5 * np.arctan(u) ** 2) ** 2
 
-    def zp(u: float) -> float:
+    def zp(u):
         A = u * u + 1.0
-        B = beta - 0.5 * math.atan(u) ** 2
-        return 2.0 * A * B * (2.0 * u * B - math.atan(u))
+        B = beta - 0.5 * np.arctan(u) ** 2
+        return 2.0 * A * B * (2.0 * u * B - np.arctan(u))
 
     a, b = domain
-    grid = np.linspace(a, b, 2049)
-    vals = np.array([z(u) for u in grid])
+    vals = z(np.linspace(a, b, 2049))
     return GaugeFunction(
         f"arctan:{beta:g}", z, zp, float(vals.min()), float(vals.max()), domain
     )

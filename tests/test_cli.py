@@ -313,15 +313,6 @@ class TestTransformRoundtripCommand:
 
 
 class TestManifest:
-    def test_visc_threads_recorded(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setenv("VISC_THREADS", "4")
-        model = write_model(tmp_path / "m.json", constant_h_model())
-        out = tmp_path / "out"
-        res = runner.invoke(main, ["barriers", "--model", model, "--out", str(out)])
-        assert res.exit_code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert 1 <= manifest["workers"] <= 4
-
     def test_no_unlisted_writes(self, runner, tmp_path):
         model = write_model(tmp_path / "m.json", constant_h_model())
         out = tmp_path / "out"

@@ -296,6 +296,12 @@ class TestLipschitzAudit:
         assert rep.passed
 
 
+    def test_iterator_input_counts_every_field(self, heat_run):
+        rd = mbs.regularity_constant(heat_run.model, M=1.0)
+        rep = solver.lipschitz_audit(iter(heat_run.result.fields), rd)
+        assert rep.samples_tested == len(heat_run.result.fields)
+
+
 class TestRefinement:
     def test_heat_order_in_expected_band(self):
         m = mbs.heat_model()
@@ -403,3 +409,94 @@ class TestChangeOfVariable:
         gaps = change_of_variable_study.gaps
         assert gaps[-1] <= 5e-3, gaps
         assert gaps[0] >= gaps[1] >= gaps[2], gaps
+
+
+def affine_sq_transformation(m):
+    from visc import transform
+
+    pair = mbs.barrier_pair(m)
+    gauge = transform.affine_sq_gauge(2.0 / pair.m0, 1.0, (pair.m0, pair.M0))
+    return transform.Transformation(gauge, margin=0.3 * pair.m0)
+
+
+class TestSharedStencil:
+    """The two problems share one stencil; their theta samplers are batched
+    forms of the per-sample loops below, which draw in the same order."""
+
+    @staticmethod
+    def pricing_loop(problem, rng, n):
+        m = problem.model
+        sig = m.sigma.value(0.0)
+        pair = mbs.barrier_pair(m)
+        P = problem.grad_bound()
+        us = rng.uniform(problem.den_floor, pair.M0 + pair.m0, n)
+        ps = rng.uniform(-P, P, (n, problem.grid.dim))
+        out = np.empty((n, problem.grid.dim))
+        for i in range(n):
+            sp = sig.T @ ps[i]
+            out[i] = np.abs(2.0 * m.rho * (sig @ sp) / us[i])
+        return out
+
+    @staticmethod
+    def straightened_loop(problem, rng, n):
+        m = problem.model
+        sig = m.sigma.value(0.0)
+        P = problem.grad_bound()
+        lo = np.array([b[0] for b in problem.grid.box])
+        hi = np.array([b[1] for b in problem.grid.box])
+        xs = rng.uniform(lo, hi, (n, problem.grid.dim))
+        ts = rng.uniform(0.0, m.T, n)
+        vs = rng.uniform(problem.v_lo, problem.v_hi, n)
+        ps = rng.uniform(-P, P, (n, problem.grid.dim))
+        u, ip, ipp = problem._gauge_at(vs)
+        out = np.empty((n, problem.grid.dim))
+        for i in range(n):
+            sp = sig.T @ ps[i]
+            dh = sig.T @ m.h.grad(xs[i], ts[i])
+            quad_grad = 2.0 * m.rho * ip[i] * (sig @ (ip[i] * sp - dh)) / (u[i] * ip[i])
+            curv_grad = (ipp[i] / ip[i]) * (sig @ sp)
+            out[i] = np.abs(quad_grad) + np.abs(curv_grad)
+        return out
+
+    def test_pricing_samples_match_loop(self):
+        problem = solver.PricingProblem(mbs.default_model(), small_grid(n=201))
+        batched = problem.dH_dp_samples(np.random.default_rng(5), 2000)
+        looped = self.pricing_loop(problem, np.random.default_rng(5), 2000)
+        assert np.array_equal(batched, looped)
+
+    def test_straightened_samples_match_loop(self):
+        m = mbs.default_model()
+        problem = solver.StraightenedProblem(m, affine_sq_transformation(m), small_grid(n=41))
+        batched = problem.dH_dp_samples(np.random.default_rng(5), 2000)
+        looped = self.straightened_loop(problem, np.random.default_rng(5), 2000)
+        assert np.array_equal(batched, looped)
+
+    def test_unit_gauge_reduces_to_pricing_stencil(self):
+        # rho = 0, h = 0, constant xi and z = 1 with Psi(0) = 0: v = U + xi,
+        # and the v-equation is the U-equation shifted by xi
+        from dataclasses import replace
+
+        from visc import transform
+
+        xi = 1.0
+        m = mbs.model_from_dict(
+            {
+                "N": 1, "d": 1,
+                "sigma": {"form": "constant", "params": {"matrix": [[0.4]]}},
+                "mu": {"form": "sinusoid",
+                       "params": {"amplitude": [0.3], "wavevector": [[1.0]]}},
+                "r": {"form": "constant", "params": {"value": 0.05}},
+                "xi": {"form": "constant", "params": {"value": xi}},
+                "h": {"form": "zero", "params": {}},
+                "rho": 0.0, "tau": 1.0, "T": 1.0,
+                "U0": {"form": "zero", "params": {}},
+            }
+        )
+        gauge = replace(transform.unit_gauge((0.0, 3.0)), base_point=0.0)
+        transf = transform.Transformation(gauge, margin=0.0)
+        grid = small_grid()
+        v = np.random.default_rng(8).uniform(0.5, 2.5, grid.nodes)
+        theta = (0.3,)
+        rhs_v = solver.StraightenedProblem(m, transf, grid).rhs(v, 0.4, theta)
+        rhs_u = solver.PricingProblem(m, grid).rhs(v - xi, 0.4, theta)
+        assert np.max(np.abs(rhs_v - rhs_u)) <= 1e-13

@@ -189,3 +189,17 @@ class TestInterpolant:
         vs = np.linspace(*T.v_range, 257)
         exact = np.array([T.psi_inverse(float(v)) for v in vs])
         assert np.max(np.abs(inv(vs) - exact)) < 1e-10
+
+
+class TestArrayGauges:
+    @pytest.mark.parametrize(
+        "ident", ["unit", "shift-sq", "affine-sq:2,1", "exp", "mbs-exp:1,2", "arctan:1.5"]
+    )
+    def test_array_input_matches_scalar_calls(self, ident):
+        gauge = transform.gauge_from_identifier(ident, (1.0, 2.0))
+        us = np.linspace(*gauge.domain, 12).reshape(3, 4)
+        for fn in (gauge.z, gauge.z_prime):
+            vals = fn(us)
+            assert np.shape(vals) == us.shape
+            scalar = np.reshape([fn(float(u)) for u in us.ravel()], us.shape)
+            np.testing.assert_allclose(vals, scalar, rtol=1e-14, atol=0.0)
