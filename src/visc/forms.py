@@ -3,7 +3,8 @@
 Model coefficients are declared as parametric closed forms so that spatial
 gradients and Hessians are exact instead of numerically differentiated.
 Scalar fields combine a spatial profile with an optional affine time factor
-1 + slope * t.  All evaluators accept x of shape (..., N) and broadcast.
+1 + slope * t.  All evaluators accept x of shape (..., N) and broadcast; t is
+a scalar or an array over the leading axes of x.
 """
 
 from __future__ import annotations
@@ -220,20 +221,20 @@ class FieldForm:
     def dim(self) -> int:
         return self.profile.dim
 
-    def _s(self, t):
+    def time_factor(self, t):
         return 1.0 + self.time_slope * np.asarray(t, dtype=float)
 
     def value(self, x, t=0.0):
         x = _as_points(x, self.dim)
-        return self._s(t) * self.profile.value(x)
+        return self.time_factor(t) * self.profile.value(x)
 
     def grad(self, x, t=0.0):
         x = _as_points(x, self.dim)
-        return self._s(t) * self.profile.grad(x)
+        return self.time_factor(t)[..., None] * self.profile.grad(x)
 
     def hess(self, x, t=0.0):
         x = _as_points(x, self.dim)
-        return self._s(t) * self.profile.hess(x)
+        return self.time_factor(t)[..., None, None] * self.profile.hess(x)
 
     def dt(self, x, t=0.0):
         x = _as_points(x, self.dim)
@@ -248,11 +249,11 @@ class FieldForm:
         return lo, hi
 
     def sup_at(self, t: float) -> float:
-        s = float(self._s(t))
+        s = float(self.time_factor(t))
         return s * self.profile.sup if s >= 0 else s * self.profile.inf
 
     def inf_at(self, t: float) -> float:
-        s = float(self._s(t))
+        s = float(self.time_factor(t))
         return s * self.profile.inf if s >= 0 else s * self.profile.sup
 
     def bounds(self, T: float) -> dict:

@@ -2,16 +2,27 @@
 
 A HamiltonianSpec wraps a function F(x, t, u, p, X) together with its state
 dimension and the open u-interval (a, b) it is defined around (with margin
-eps0).  The checkers draw randomized samples and report the worst violation
-of a structural inequality:
+eps0).  fn is pointwise by default: it takes one sample, x and p of shape
+(N,), scalar t and u, X of shape (N, N), and returns a float.  A spec
+declared batched has an fn that also broadcasts over leading axes: x
+(..., N), t (...), u (...), p (..., N) and X (..., N, N) give an array of
+shape (...), and a single sample still gives a scalar.  The fixtures,
+mbs.dm2_hamiltonian and the gauge transform of a batched spec are batched.
+
+The checkers report the worst violation of a structural inequality:
 
   * degenerate ellipticity        F(..., X + Y) <= F(..., X) for Y >= 0
   * gradient modulus              |F(..., p, X) - F(..., q, X)| <= nu(|p - q|)
   * doubled-matrix structure      F(x,..,X+Z) - F(y,..,-Y+Z) >= -nu2(..) - nu2R(2 eps3)
   * Osgood compatibility          gauge-scaled difference >= -Gamma(u-v) - nu_hat(..)
 
-All reports are deterministic for a fixed seed.  A pass means "no sampled
-counterexample above float noise", never a proof.
+Each checker draws all of its samples up front as arrays from one
+default_rng(seed), then evaluates F once per side of its inequality: in one
+call for a batched spec, in a loop over the drawn rows for a pointwise one.
+The sample stream depends only on the seed and the sample count, so a
+batched spec and its pointwise form give the same report, and every report
+is reproducible bit for bit.  A pass means "no sampled counterexample above
+float noise", never a proof.
 """
 
 from __future__ import annotations
@@ -28,6 +39,8 @@ from .osgood import INV_E, OsgoodFunction
 from .transform import GaugeFunction, Transformation
 
 PASS_TOL = 1e-9
+# candidates per row of the cp6 rejection sampler before it falls back to zero
+_CP6_TRIES = 200
 
 
 # ---------------------------------------------------------------------------
@@ -36,17 +49,23 @@ PASS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """F(x, t, u, p, X) with declared u-domain (a, b) and margin eps0 > 0."""
+    """F(x, t, u, p, X) with declared u-domain (a, b) and margin eps0 > 0.
+
+    batched declares what fn accepts, as described in the module docstring:
+    False (the default) means one sample per call, True means fn also
+    broadcasts over leading axes.  It is not a tuning option.
+    """
 
     name: str
     dim_state: int
     u_domain: tuple[float, float]
     eps0: float
-    fn: Callable[[np.ndarray, float, float, np.ndarray, np.ndarray], float]
+    fn: Callable[..., float]
     t_max: float = 1.0
     transformation: Transformation | None = field(
         default=None, compare=False, repr=False
     )
+    batched: bool = False
 
     @property
     def eval_interval(self) -> tuple[float, float]:
@@ -70,9 +89,9 @@ class ModulusFamily:
         if self.shape == "power" and not 0.0 < self.exponent <= 1.0:
             raise ConfigurationError("power modulus exponent must lie in (0, 1]")
 
-    def __call__(self, s: float) -> float:
-        if s <= 0.0:
-            return 0.0
+    def __call__(self, s):
+        """The modulus at s, zero for s <= 0; elementwise on arrays."""
+        s = np.maximum(s, 0.0)
         if self.shape == "linear":
             return self.coefficient * s
         return self.coefficient * s**self.exponent
@@ -123,7 +142,7 @@ def eval_hamiltonian(
     p: np.ndarray,
     X: np.ndarray,
 ) -> float:
-    """Evaluate F(x, t, u, p, X), enforcing the declared domains."""
+    """Evaluate F(x, t, u, p, X) at one sample, enforcing the declared domains."""
     lo, hi = H.eval_interval
     if not lo < u < hi:
         raise DomainError(f"{H.name}: u = {u!r} outside ({lo!r}, {hi!r})")
@@ -137,6 +156,14 @@ def eval_hamiltonian(
     return float(H.fn(x, t, u, p, X))
 
 
+def _evaluate(H: HamiltonianSpec, x, t, u, p, X) -> np.ndarray:
+    """F on every row of stacked samples: one call for a batched spec, a
+    loop over the rows for a pointwise one."""
+    if H.batched:
+        return np.asarray(H.fn(x, t, u, p, X), dtype=float)
+    return np.array([H.fn(x[k], t[k], u[k], p[k], X[k]) for k in range(len(t))], dtype=float)
+
+
 def transform_hamiltonian(H: HamiltonianSpec, gauge: GaugeFunction) -> HamiltonianSpec:
     """Gauge-transform F into the Hamiltonian of the straightened unknown.
 
@@ -145,6 +172,7 @@ def transform_hamiltonian(H: HamiltonianSpec, gauge: GaugeFunction) -> Hamiltoni
         Ft(x, t, v, p, X) = F(x, t, I(v), I'(v) p, I'(v) X + I''(v) p (x) p) / I'(v)
 
     and its evaluation interval is the Psi-image of (a - eps0/2, b + eps0/2).
+    It is batched when H is.
     """
     a, b = H.u_domain
     ga, gb = gauge.domain
@@ -160,10 +188,12 @@ def transform_hamiltonian(H: HamiltonianSpec, gauge: GaugeFunction) -> Hamiltoni
 
     def fn(x, t, v, p, X):
         u = T.psi_inverse(v)
-        ip = math.sqrt(gauge.z(u))
-        ipp = 0.5 * gauge.z_prime(u)
+        ip = np.sqrt(gauge.z(u))
+        ipp = np.asarray(0.5 * gauge.z_prime(u))
         p = np.asarray(p, dtype=float)
-        return H.fn(x, t, u, ip * p, ip * np.asarray(X, dtype=float) + ipp * np.outer(p, p)) / ip
+        pp = p[..., :, None] * p[..., None, :]
+        Xt = ip[..., None, None] * np.asarray(X, dtype=float) + ipp[..., None, None] * pp
+        return H.fn(x, t, u, ip[..., None] * p, Xt) / ip
 
     return HamiltonianSpec(
         name=f"{H.name}~{gauge.name}",
@@ -173,15 +203,22 @@ def transform_hamiltonian(H: HamiltonianSpec, gauge: GaugeFunction) -> Hamiltoni
         fn=fn,
         t_max=H.t_max,
         transformation=T,
+        batched=H.batched,
     )
 
 
 # ---------------------------------------------------------------------------
-# fixtures
+# fixtures (all batched)
 
 
-def _phi_example1(u: float) -> float:
-    return (u * u + u) * math.log(u) if u > 0.0 else 0.0
+def _trace(X) -> np.ndarray:
+    return np.einsum("...ii->...", np.asarray(X, dtype=float))
+
+
+def _phi_example1(u):
+    u = np.asarray(u, dtype=float)
+    pos = u > 0.0
+    return np.where(pos, (u * u + u) * np.log(np.where(pos, u, 1.0)), 0.0)
 
 
 def example1(dim_state: int = 1) -> HamiltonianSpec:
@@ -193,9 +230,9 @@ def example1(dim_state: int = 1) -> HamiltonianSpec:
 
     def fn(x, t, u, p, X):
         p = np.asarray(p, dtype=float)
-        return -float(np.trace(X)) + float(p @ p) / (u + 1.0) + _phi_example1(u)
+        return -_trace(X) + np.sum(p * p, axis=-1) / (u + 1.0) + _phi_example1(u)
 
-    return HamiltonianSpec("example1", dim_state, (-0.5, INV_E), 0.25, fn)
+    return HamiltonianSpec("example1", dim_state, (-0.5, INV_E), 0.25, fn, batched=True)
 
 
 def example2_power(gamma: float = 0.5, dim_state: int = 1) -> HamiltonianSpec:
@@ -204,14 +241,16 @@ def example2_power(gamma: float = 0.5, dim_state: int = 1) -> HamiltonianSpec:
         raise ConfigurationError(f"example2-power needs gamma in (0,1), got {gamma!r}")
 
     def fn(x, t, u, p, X):
-        p = np.asarray(p, dtype=float)
-        return -float(np.trace(X)) + float(np.linalg.norm(p)) ** gamma
+        return -_trace(X) + np.linalg.norm(np.asarray(p, dtype=float), axis=-1) ** gamma
 
-    return HamiltonianSpec(f"example2-power:{gamma:g}", dim_state, (-1.0, 1.0), 0.5, fn)
+    return HamiltonianSpec(
+        f"example2-power:{gamma:g}", dim_state, (-1.0, 1.0), 0.5, fn, batched=True
+    )
 
 
-def _g_log(p: float) -> float:
-    return math.log(1.0 + p) if p > 0.0 else -math.log(1.0 - p)
+def _g_log(p):
+    """sign(p) log(1 + |p|), elementwise."""
+    return np.sign(p) * np.log(1.0 + np.abs(p))
 
 
 def example2_log() -> HamiltonianSpec:
@@ -222,9 +261,10 @@ def example2_log() -> HamiltonianSpec:
     """
 
     def fn(x, t, u, p, X):
-        return -float(X[0, 0]) - _g_log(float(np.asarray(p, dtype=float)[0]))
+        X = np.asarray(X, dtype=float)
+        return -X[..., 0, 0] - _g_log(np.asarray(p, dtype=float)[..., 0])
 
-    return HamiltonianSpec("example2-log", 1, (-1.0, 1.0), 0.5, fn)
+    return HamiltonianSpec("example2-log", 1, (-1.0, 1.0), 0.5, fn, batched=True)
 
 
 def fixture(ident: str) -> HamiltonianSpec:
@@ -244,41 +284,52 @@ def fixture(ident: str) -> HamiltonianSpec:
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers
+# batched sampling helpers
+
+
+def _rng(n_samples: int, seed: int) -> np.random.Generator:
+    if n_samples < 1:
+        raise PreconditionError("n_samples must be at least 1")
+    return np.random.default_rng(seed)
 
 
 def _sym(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + A.T)
-
-def _clip_vec(v: np.ndarray, radius: float) -> np.ndarray:
-    n = np.linalg.norm(v)
-    return v if n <= radius else v * (radius / n)
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def _clip_sym(X: np.ndarray, radius: float) -> np.ndarray:
-    n = np.linalg.norm(X, 2)
-    return X if n <= radius else X * (radius / n)
+def _spectral_norm(X: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of symmetric matrices: the largest |eigenvalue|."""
+    return np.abs(np.linalg.eigvalsh(X)).max(axis=-1)
 
 
-def _draw_state(rng: np.random.Generator, H: HamiltonianSpec, x_box: float = 2.0):
+def _shrink(norms: np.ndarray, radius: float) -> np.ndarray:
+    """Factors that scale items with these norms into the ball of that radius."""
+    out = np.ones_like(norms)
+    big = norms > radius
+    out[big] = radius / norms[big]
+    return out
+
+
+def _clip_vecs(v: np.ndarray, radius: float) -> np.ndarray:
+    return v * _shrink(np.linalg.norm(v, axis=-1), radius)[:, None]
+
+
+def _clip_syms(X: np.ndarray, radius: float) -> np.ndarray:
+    return X * _shrink(_spectral_norm(X), radius)[:, None, None]
+
+
+def _draw_states(rng: np.random.Generator, H: HamiltonianSpec, n: int, x_box: float = 2.0):
     lo, hi = H.eval_interval
     pad = 1e-9 * (hi - lo)
-    x = rng.uniform(-x_box, x_box, H.dim_state)
-    t = rng.uniform(0.0, H.t_max * (1.0 - 1e-9))
-    u = rng.uniform(lo + pad, hi - pad)
+    x = rng.uniform(-x_box, x_box, (n, H.dim_state))
+    t = rng.uniform(0.0, H.t_max * (1.0 - 1e-9), n)
+    u = rng.uniform(lo + pad, hi - pad, n)
     return x, t, u
 
 
 def _sample_dict(**kw) -> dict:
-    out = {}
-    for k, v in kw.items():
-        if isinstance(v, np.ndarray):
-            out[k] = v.tolist()
-        elif isinstance(v, (np.floating, np.integer)):
-            out[k] = float(v)
-        else:
-            out[k] = v
-    return out
+    """Plain floats and nested lists, for the JSON report."""
+    return {k: np.asarray(v).tolist() for k, v in kw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -289,26 +340,21 @@ def check_degenerate_ellipticity(
     H: HamiltonianSpec, n_samples: int, seed: int
 ) -> CheckReport:
     """Sampled check of F(..., X + A^T A) <= F(..., X)."""
-    if n_samples < 1:
-        raise PreconditionError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    worst_sample: dict = {}
-    for _ in range(n_samples):
-        x, t, u = _draw_state(rng, H)
-        p = rng.normal(0.0, 1.0, H.dim_state)
-        X = _sym(rng.normal(0.0, 1.0, (H.dim_state, H.dim_state)))
-        A = rng.normal(0.0, 1.0, (H.dim_state, H.dim_state))
-        Y = A.T @ A
-        v = H.fn(x, t, u, p, X + Y) - H.fn(x, t, u, p, X)
-        if v > worst:
-            worst = v
-            worst_sample = _sample_dict(x=x, t=t, u=u, p=p, X=X, Y=Y)
+    rng = _rng(n_samples, seed)
+    n, N = n_samples, H.dim_state
+    x, t, u = _draw_states(rng, H, n)
+    p = rng.normal(0.0, 1.0, (n, N))
+    X = _sym(rng.normal(0.0, 1.0, (n, N, N)))
+    A = rng.normal(0.0, 1.0, (n, N, N))
+    Y = np.swapaxes(A, -1, -2) @ A
+    viol = _evaluate(H, x, t, u, p, X + Y) - _evaluate(H, x, t, u, p, X)
+    k = int(np.argmax(viol))
+    worst = float(viol[k])
     return CheckReport(
         check="degenerate-ellipticity",
         samples_tested=n_samples,
         max_violation=worst,
-        worst_sample=worst_sample,
+        worst_sample=_sample_dict(x=x[k], t=t[k], u=u[k], p=p[k], X=X[k], Y=Y[k]),
         seed=seed,
         passed=worst <= PASS_TOL,
     )
@@ -327,18 +373,14 @@ def check_gradient_modulus(
     """
     if R <= 0.0:
         raise PreconditionError("R must be positive")
-    rng = np.random.default_rng(seed)
-    dists = np.empty(n_samples)
-    diffs = np.empty(n_samples)
-    samples = []
-    for i in range(n_samples):
-        x, t, u = _draw_state(rng, H)
-        X = _clip_sym(_sym(rng.normal(0.0, R, (H.dim_state, H.dim_state))), R)
-        p = _clip_vec(rng.normal(0.0, R / 2.0, H.dim_state), R)
-        q = _clip_vec(rng.normal(0.0, R / 2.0, H.dim_state), R)
-        diffs[i] = abs(H.fn(x, t, u, p, X) - H.fn(x, t, u, q, X))
-        dists[i] = np.linalg.norm(p - q)
-        samples.append((x, t, u, p, q, X))
+    rng = _rng(n_samples, seed)
+    n, N = n_samples, H.dim_state
+    x, t, u = _draw_states(rng, H, n)
+    X = _clip_syms(_sym(rng.normal(0.0, R, (n, N, N))), R)
+    p = _clip_vecs(rng.normal(0.0, R / 2.0, (n, N)), R)
+    q = _clip_vecs(rng.normal(0.0, R / 2.0, (n, N)), R)
+    diffs = np.abs(_evaluate(H, x, t, u, p, X) - _evaluate(H, x, t, u, q, X))
+    dists = np.linalg.norm(p - q, axis=-1)
 
     mask = dists > 0.0
     if not np.any(mask) or diffs.max() == 0.0:
@@ -374,9 +416,8 @@ def check_gradient_modulus(
             coef = float((diffs[mask] / dists[mask] ** expo).max())
             fitted = ModulusFamily("power", coef, expo)
 
-    excess = diffs - np.array([fitted(d) for d in dists])
+    excess = diffs - fitted(dists)
     k = int(np.argmax(excess))
-    x, t, u, p, q, X = samples[k]
     env_list = None
     decays = True
     if diffs.max() > 0.0 and np.any(mask):
@@ -388,7 +429,7 @@ def check_gradient_modulus(
         check="gradient-modulus",
         samples_tested=n_samples,
         max_violation=float(excess[k]),
-        worst_sample=_sample_dict(x=x, t=t, u=u, p=p, q=q, X=X),
+        worst_sample=_sample_dict(x=x[k], t=t[k], u=u[k], p=p[k], q=q[k], X=X[k]),
         seed=seed,
         fitted_modulus=fitted,
         passed=float(excess[k]) <= PASS_TOL and decays,
@@ -396,17 +437,61 @@ def check_gradient_modulus(
     )
 
 
-def _cp5_envelope(eps2: float, eps3: float, n: int) -> np.ndarray:
-    J = np.block([[np.eye(n), -np.eye(n)], [-np.eye(n), np.eye(n)]])
-    return eps2 * J + eps3 * np.eye(2 * n)
+def _cp5_accepts(X, Y, eps1, eps2, eps3) -> np.ndarray:
+    """Rows where -eps1 I <= diag(X, Y) <= eps2 [[I, -I], [-I, I]] + eps3 I,
+    from the smallest eigenvalues of both sides' differences."""
+    k, n = X.shape[0], X.shape[-1]
+    M = np.zeros((k, 2 * n, 2 * n))
+    M[:, :n, :n] = X
+    M[:, n:, n:] = Y
+    eye = np.eye(n)
+    J = np.block([[eye, -eye], [-eye, eye]])
+    I2 = np.eye(2 * n)
+    lo = np.linalg.eigvalsh(M + eps1[:, None, None] * I2).min(axis=-1)
+    hi = np.linalg.eigvalsh(
+        eps2[:, None, None] * J + eps3[:, None, None] * I2 - M
+    ).min(axis=-1)
+    return (lo >= -1e-12) & (hi >= -1e-12)
 
 
-def _cp5_ok(X, Y, eps1, eps2, eps3) -> bool:
-    n = X.shape[0]
-    M = np.block([[X, np.zeros((n, n))], [np.zeros((n, n)), Y]])
-    lo = np.linalg.eigvalsh(M + eps1 * np.eye(2 * n)).min()
-    hi = np.linalg.eigvalsh(_cp5_envelope(eps2, eps3, n) - M).min()
-    return lo >= -1e-12 and hi >= -1e-12
+def _draw_cp5_pairs(rng: np.random.Generator, n_dim: int, eps1, eps2, eps3):
+    """One (X, Y) pair inside the coupled matrix constraint per row.
+
+    Row 0 is X = Y = 0 and row 1 the corner X = -Y (zero if it fails the
+    constraint).  Every later row takes its first accepted candidate out of
+    at most _CP6_TRIES, or zero when none is accepted.  Candidates are drawn
+    in rounds, one per row still open, and each round is tested as one
+    eigenvalue stack.  Returns X, Y, the candidates tested per row and
+    whether the row accepted one.
+    """
+    n = len(eps1)
+    X = np.zeros((n, n_dim, n_dim))
+    Y = np.zeros((n, n_dim, n_dim))
+    tries = np.zeros(n, dtype=int)
+    accepted = np.zeros(n, dtype=bool)
+    if n > 1:
+        B = _clip_syms(_sym(rng.normal(0.0, eps3[1], (1, n_dim, n_dim))), eps3[1] * 0.999)
+        if _cp5_accepts(B, -B, eps1[1:2], eps2[1:2], eps3[1:2])[0]:
+            X[1], Y[1] = B[0], -B[0]
+    open_rows = np.arange(2, n)
+    for _ in range(_CP6_TRIES):
+        if open_rows.size == 0:
+            break
+        e1, e2, e3 = eps1[open_rows], eps2[open_rows], eps3[open_rows]
+        # half the candidates are coupled (Y near -X), half independent
+        coupled = (rng.uniform(size=open_rows.size) < 0.5)[:, None, None]
+        G = _sym(rng.normal(0.0, 1.0, (3, open_rows.size, n_dim, n_dim)))
+        B = (0.5 * e2 + 0.25 * e3)[:, None, None] * G[0]
+        noise = (0.25 * e3)[:, None, None]
+        wide = (0.4 * e3)[:, None, None]
+        Xc = np.where(coupled, B + noise * G[1], wide * G[0])
+        Yc = np.where(coupled, -B + noise * G[2], wide * G[1])
+        ok = _cp5_accepts(Xc, Yc, e1, e2, e3)
+        done = open_rows[ok]
+        X[done], Y[done], accepted[done] = Xc[ok], Yc[ok], True
+        tries[open_rows] += 1
+        open_rows = open_rows[~ok]
+    return X, Y, tries, accepted
 
 
 def check_structure_cp6(
@@ -419,90 +504,62 @@ def check_structure_cp6(
     """Sampled check of the doubled-variable matrix inequality.
 
     Draws (X, Y) pairs inside the coupled matrix constraint by rejection
-    (each accepted pair is re-verified through smallest-eigenvalue
-    computations), always including the deterministic corner cases X = Y = 0
-    and X = -Y.  The reported violation is the most positive value of
+    (each accepted pair passes smallest-eigenvalue tests of both sides),
+    always including the deterministic corner cases X = Y = 0 and X = -Y.
+    The reported violation is the most positive value of
 
         -[F(x,t,u,p,X+Z) - F(y,t,u,p,-Y+Z) + nu2(|x-y|(|p|+1) + eps2 |x-y|^2)
           + nu2R(2 eps3)].
+
+    details["attempts"] counts the candidates tested and details["accepts"]
+    the rows that found one.  A row without an accepted candidate raises
+    SamplingError once 1000 candidates have been tested with fewer than one
+    in a thousand accepted.
     """
     nu2, nu2R = candidate
-    rng = np.random.default_rng(seed)
-    n = H.dim_state
-    worst = -math.inf
-    worst_sample: dict = {}
-    attempts = 0
-    accepts = 0
-    for i in range(n_samples):
-        if i == 0:
-            # deterministic corner: coincident points, zero blocks and zero
-            # slacks reduce the inequality to exactly 0
-            eps1 = eps2 = eps3 = 0.0
-        else:
-            eps2 = rng.uniform(0.0, R / 8.0)
-            eps3 = rng.uniform(1e-6, R / 8.0)
-            eps1 = rng.uniform(eps3, R / 2.0)
-        if R < max(eps1, 2.0 * eps2 + eps3) + 2.0 * eps3:
-            raise PreconditionError(
-                "sampled (eps1, eps2, eps3) violate R >= max(eps1, 2*eps2+eps3) + 2*eps3"
-            )
-        if i == 0:
-            X = np.zeros((n, n))
-            Y = np.zeros((n, n))
-        elif i == 1:
-            B = _clip_sym(_sym(rng.normal(0.0, eps3, (n, n))), eps3 * 0.999)
-            X, Y = B, -B
-            if not _cp5_ok(X, Y, eps1, eps2, eps3):
-                X = np.zeros((n, n))
-                Y = np.zeros((n, n))
-        else:
-            X = Y = None
-            for _ in range(200):
-                attempts += 1
-                if rng.uniform() < 0.5:
-                    B = _sym(rng.normal(0.0, 0.5 * eps2 + 0.25 * eps3, (n, n)))
-                    Xc = B + _sym(rng.normal(0.0, 0.25 * eps3, (n, n)))
-                    Yc = -B + _sym(rng.normal(0.0, 0.25 * eps3, (n, n)))
-                else:
-                    Xc = _sym(rng.normal(0.0, 0.4 * eps3, (n, n)))
-                    Yc = _sym(rng.normal(0.0, 0.4 * eps3, (n, n)))
-                if _cp5_ok(Xc, Yc, eps1, eps2, eps3):
-                    X, Y = Xc, Yc
-                    accepts += 1
-                    break
-            if X is None:
-                if attempts >= 1000 and accepts / attempts < 1e-3:
-                    raise SamplingError(
-                        "rejection rate above 99.9% when sampling the matrix "
-                        "constraint; retry with a smaller block scale"
-                    )
-                X = np.zeros((n, n))
-                Y = np.zeros((n, n))
-
-        x, t, u = _draw_state(rng, H)
-        u = min(max(u, H.u_domain[0]), H.u_domain[1])
-        y = x if i == 0 else x + rng.normal(0.0, 0.3, n)
-        p = _clip_vec(rng.normal(0.0, R / 2.0, n), R)
-        Z = _clip_sym(_sym(rng.normal(0.0, R / 4.0, (n, n))), R)
-        lhs = H.fn(x, t, u, p, X + Z) - H.fn(y, t, u, p, -Y + Z)
-        dxy = float(np.linalg.norm(x - y))
-        allow = nu2(dxy * (float(np.linalg.norm(p)) + 1.0) + eps2 * dxy**2) + nu2R(
-            2.0 * eps3
+    rng = _rng(n_samples, seed)
+    n, N = n_samples, H.dim_state
+    eps2 = rng.uniform(0.0, R / 8.0, n)
+    eps3 = rng.uniform(1e-6, R / 8.0, n)
+    eps1 = rng.uniform(eps3, R / 2.0)
+    # deterministic corner: coincident points, zero blocks and zero slacks
+    # reduce the inequality to exactly 0
+    eps1[0] = eps2[0] = eps3[0] = 0.0
+    if np.any(R < np.maximum(eps1, 2.0 * eps2 + eps3) + 2.0 * eps3):
+        raise PreconditionError(
+            "sampled (eps1, eps2, eps3) violate R >= max(eps1, 2*eps2+eps3) + 2*eps3"
         )
-        v = -(lhs + allow)
-        if v > worst:
-            worst = v
-            worst_sample = _sample_dict(
-                x=x, y=y, t=t, u=u, p=p, X=X, Y=Y, Z=Z, eps1=eps1, eps2=eps2, eps3=eps3
-            )
+    X, Y, tries, accepted = _draw_cp5_pairs(rng, N, eps1, eps2, eps3)
+    tested, took = np.cumsum(tries), np.cumsum(accepted)
+    if np.any((tries > 0) & ~accepted & (tested >= 1000) & (took < 1e-3 * tested)):
+        raise SamplingError(
+            "rejection rate above 99.9% when sampling the matrix "
+            "constraint; retry with a smaller block scale"
+        )
+
+    x, t, u = _draw_states(rng, H, n)
+    u = np.clip(u, *H.u_domain)
+    y = x + rng.normal(0.0, 0.3, (n, N))
+    y[0] = x[0]
+    p = _clip_vecs(rng.normal(0.0, R / 2.0, (n, N)), R)
+    Z = _clip_syms(_sym(rng.normal(0.0, R / 4.0, (n, N, N))), R)
+    lhs = _evaluate(H, x, t, u, p, X + Z) - _evaluate(H, y, t, u, p, -Y + Z)
+    dxy = np.linalg.norm(x - y, axis=-1)
+    allow = nu2(dxy * (np.linalg.norm(p, axis=-1) + 1.0) + eps2 * dxy**2) + nu2R(2.0 * eps3)
+    viol = -(lhs + allow)
+    k = int(np.argmax(viol))
+    worst = float(viol[k])
     return CheckReport(
         check="structure-cp6",
         samples_tested=n_samples,
         max_violation=worst,
-        worst_sample=worst_sample,
+        worst_sample=_sample_dict(
+            x=x[k], y=y[k], t=t[k], u=u[k], p=p[k], X=X[k], Y=Y[k], Z=Z[k],
+            eps1=eps1[k], eps2=eps2[k], eps3=eps3[k],
+        ),
         seed=seed,
         passed=worst <= PASS_TOL,
-        details={"attempts": attempts, "accepts": accepts},
+        details={"attempts": int(tries.sum()), "accepts": int(accepted.sum())},
     )
 
 
@@ -526,7 +583,7 @@ def check_osgood_structure_cp7(
 
     The most negative value of that expression is reported as the violation.
     The canonical choice lambda = sqrt(z(u)), kappa = z'(u)/2 at u = v gives
-    exactly zero.
+    exactly zero; it is always the first sample.
     """
     a, b = H.u_domain
     ga, gb = gauge.domain
@@ -538,48 +595,52 @@ def check_osgood_structure_cp7(
         raise PreconditionError(
             f"Gamma domain [0, {gamma.l!r}] too short for u-v range up to {b - a!r}"
         )
-    rng = np.random.default_rng(seed)
-    n = H.dim_state
+    rng = _rng(n_samples, seed)
+    n, N = n_samples, H.dim_state
     s_lo = math.sqrt(gauge.lambda0)
     s_hi = math.sqrt(gauge.Lambda0)
-    worst = -math.inf
-    worst_sample: dict = {}
-    for i in range(n_samples):
-        x = rng.uniform(-2.0, 2.0, n)
-        t = rng.uniform(0.0, H.t_max * (1.0 - 1e-9))
-        if i == 0:
-            u = v = 0.5 * (a + b)
-            lam = lam_hat = math.sqrt(gauge.z(u))
-            kap = kap_hat = 0.5 * gauge.z_prime(u)
-            q = np.full(n, R / (2.0 * math.sqrt(n)))
-            X = np.zeros((n, n))
-        else:
-            u, v = np.sort(rng.uniform(a, b, 2))[::-1]
-            q = _clip_vec(rng.normal(0.0, R / 2.0, n), R)
-            X = _clip_sym(_sym(rng.normal(0.0, R / 2.0, (n, n))), R)
-            lam = math.sqrt(gauge.z(u)) if rng.uniform() < 0.5 else rng.uniform(s_lo, s_hi)
-            lam_hat = math.sqrt(gauge.z(v)) if rng.uniform() < 0.5 else rng.uniform(s_lo, s_hi)
-            kap = 0.5 * gauge.z_prime(u) - (0.0 if rng.uniform() < 0.5 else abs(rng.normal(0.0, 0.3)))
-            kap_hat = 0.5 * gauge.z_prime(v) + (0.0 if rng.uniform() < 0.5 else abs(rng.normal(0.0, 0.3)))
-        qq = np.outer(q, q)
-        lhs = H.fn(x, t, u, lam * q, lam * X + kap * qq) / lam - H.fn(
-            x, t, v, lam_hat * q, lam_hat * X + kap_hat * qq
-        ) / lam_hat
-        dev = abs(lam**2 - gauge.z(u)) + abs(lam_hat**2 - gauge.z(v))
-        scale = 1.0 + float(np.linalg.norm(q)) + float(np.linalg.norm(X, 2))
-        expr = lhs + gamma(u - v) + candidate(dev * scale)
-        viol = -expr
-        if viol > worst:
-            worst = viol
-            worst_sample = _sample_dict(
-                x=x, t=t, u=u, v=v, q=q, X=X,
-                lam=lam, lam_hat=lam_hat, kappa=kap, kappa_hat=kap_hat,
-            )
+    x = rng.uniform(-2.0, 2.0, (n, N))
+    t = rng.uniform(0.0, H.t_max * (1.0 - 1e-9), n)
+    uv = rng.uniform(a, b, (n, 2))
+    u, v = uv.max(axis=1), uv.min(axis=1)
+    q = _clip_vecs(rng.normal(0.0, R / 2.0, (n, N)), R)
+    X = _clip_syms(_sym(rng.normal(0.0, R / 2.0, (n, N, N))), R)
+    # each scaling factor and curvature is canonical with probability 1/2
+    canonical = rng.uniform(size=(4, n)) < 0.5
+    lam_free = rng.uniform(s_lo, s_hi, (2, n))
+    kap_free = np.abs(rng.normal(0.0, 0.3, (2, n)))
+    # the canonical sample
+    u[0] = v[0] = 0.5 * (a + b)
+    q[0] = R / (2.0 * math.sqrt(N))
+    X[0] = 0.0
+    canonical[:, 0] = True
+    lam = np.where(canonical[0], np.sqrt(gauge.z(u)), lam_free[0])
+    lam_hat = np.where(canonical[1], np.sqrt(gauge.z(v)), lam_free[1])
+    kap = 0.5 * gauge.z_prime(u) - np.where(canonical[2], 0.0, kap_free[0])
+    kap_hat = 0.5 * gauge.z_prime(v) + np.where(canonical[3], 0.0, kap_free[1])
+
+    qq = q[:, :, None] * q[:, None, :]
+    lhs = _evaluate(
+        H, x, t, u, lam[:, None] * q, lam[:, None, None] * X + kap[:, None, None] * qq
+    ) / lam - _evaluate(
+        H, x, t, v, lam_hat[:, None] * q,
+        lam_hat[:, None, None] * X + kap_hat[:, None, None] * qq,
+    ) / lam_hat
+    dev = np.abs(lam**2 - gauge.z(u)) + np.abs(lam_hat**2 - gauge.z(v))
+    scale = 1.0 + np.linalg.norm(q, axis=-1) + _spectral_norm(X)
+    # Gamma is a scalar callable
+    gam = np.array([gamma(h) for h in (u - v).tolist()])
+    viol = -(lhs + gam + candidate(dev * scale))
+    k = int(np.argmax(viol))
+    worst = float(viol[k])
     return CheckReport(
         check="osgood-structure-cp7",
         samples_tested=n_samples,
         max_violation=worst,
-        worst_sample=worst_sample,
+        worst_sample=_sample_dict(
+            x=x[k], t=t[k], u=u[k], v=v[k], q=q[k], X=X[k],
+            lam=lam[k], lam_hat=lam_hat[k], kappa=kap[k], kappa_hat=kap_hat[k],
+        ),
         seed=seed,
         passed=worst <= PASS_TOL,
     )

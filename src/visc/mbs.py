@@ -470,19 +470,38 @@ def barrier_residuals(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
 # the shifted problem in u = U + h + xi
 
 
-def source_g(m: MbsModel, x: np.ndarray, t: float) -> np.ndarray:
-    """g = -dh/dt + (1/2) tr(sigma sigma^T D^2 h) + <mu, Dh> - tau h - (xi' + r xi)."""
-    W = m.sigma.diffusion(t)
+def source_g(m: MbsModel, x: np.ndarray, t) -> np.ndarray:
+    """g = -dh/dt + (1/2) tr(sigma sigma^T D^2 h) + <mu, Dh> - tau h - (xi' + r xi).
+
+    t is a scalar or an array over the leading axes of x.
+    """
+    return source_g_on(m, x)(t)
+
+
+def source_g_on(m: MbsModel, x: np.ndarray) -> Callable:
+    """t -> source_g(m, x, t), with every spatial part evaluated once on x.
+
+    sigma and mu are constant in time and h = s(t) phi(x) with an affine
+    factor s, so g(x, t) = -s' phi + s(t) [tr(W D^2 phi)/2 + <mu, D phi> -
+    tau phi] - (xi' + r xi)(t).
+    """
     x = np.asarray(x, dtype=float)
-    hess_term = 0.5 * np.einsum("ij,...ij->...", W, m.h.hess(x, t))
-    drift_term = np.sum(m.mu.value(x, t) * m.h.grad(x, t), axis=-1)
-    return (
-        -m.h.dt(x, t)
-        + hess_term
-        + drift_term
-        - m.tau * m.h.value(x, t)
-        - (float(m.xi.derivative(t)) + float(m.r(t)) * float(m.xi(t)))
+    h = m.h
+    spatial = (
+        0.5 * np.einsum("ij,...ij->...", m.sigma.diffusion(), h.hess(x))
+        + np.sum(m.mu.value(x) * h.grad(x), axis=-1)
+        - m.tau * h.value(x)
     )
+    h_dt = h.dt(x)
+
+    def g(t):
+        return (
+            -h_dt
+            + h.time_factor(t) * spatial
+            - (m.xi.derivative(t) + m.r(t) * m.xi(t))
+        )
+
+    return g
 
 
 def dm2_hamiltonian(
@@ -492,6 +511,8 @@ def dm2_hamiltonian(
 
         F(x,t,u,p,X) = -(1/2) tr(sigma sigma^T X) - <mu, p>
                        + rho |sigma^T p - sigma^T Dh|^2 / u + r(t) u + g(x,t).
+
+    Batched: evaluates stacks of samples in one call.
     """
     if u_domain is None:
         pair = barrier_pair(m)
@@ -505,17 +526,17 @@ def dm2_hamiltonian(
         eps0 = 0.5 * u_domain[0]
     if u_domain[0] - eps0 <= 0.0 and m.rho > 0.0:
         raise ModelError("evaluation interval must stay positive when rho > 0")
+    sig = m.sigma.value()
+    W = m.sigma.diffusion()
 
     def fn(x, t, u, p, X):
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
-        sig = m.sigma.value(t)
-        W = sig @ sig.T
-        val = -0.5 * float(np.trace(W @ X)) - float(m.mu.value(x, t) @ p)
+        val = -0.5 * np.einsum("ij,...ji->...", W, X) - np.sum(m.mu.value(x) * p, axis=-1)
         if m.rho > 0.0:
-            sp = sig.T @ p - sig.T @ m.h.grad(x, t)
-            val += m.rho * float(sp @ sp) / u
-        return val + float(m.r(t)) * u + float(source_g(m, x, t))
+            sp = (p - m.h.grad(x, t)) @ sig
+            val = val + m.rho * np.sum(sp * sp, axis=-1) / u
+        return val + m.r(t) * u + source_g(m, x, t)
 
     return HamiltonianSpec(
         name="mbs-dm2",
@@ -524,6 +545,7 @@ def dm2_hamiltonian(
         eps0=eps0,
         fn=fn,
         t_max=m.T,
+        batched=True,
     )
 
 

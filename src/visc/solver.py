@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ModelError, PreconditionError
 from .hamiltonian import CheckReport
-from .mbs import MbsModel, RegularityData, barrier_pair, lipschitz_bound, source_g
+from .mbs import MbsModel, RegularityData, barrier_pair, lipschitz_bound, source_g_on
 from .transform import Transformation
 
 
@@ -207,6 +207,8 @@ class PricingProblem(_MonotoneStencil):
             self.den_floor = 0.5 * pair.m0
         else:
             self.den_floor = None
+        # h = s(t) phi(x): the profile on the interior nodes, once per problem
+        self.h_phi = model.h.value(self.x_int)
         self.flags = {"denominator_clamped": False}
 
     def dH_dp_samples(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -224,7 +226,7 @@ class PricingProblem(_MonotoneStencil):
 
     def _reaction(self, U: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         m = self.model
-        h_int = m.h.value(self.x_int, t)
+        h_int = m.h.time_factor(t) * self.h_phi
         out = m.tau * h_int - float(m.r(t)) * (U + h_int)
         if m.rho > 0.0:
             sp = grad @ m.sigma.value(t)
@@ -250,6 +252,9 @@ class StraightenedProblem(_MonotoneStencil):
         self.transf = transf
         self.inv = transf.inverse_interpolant()
         self.v_lo, self.v_hi = transf.v_range
+        # h = s(t) phi(x): the spatial parts on the interior nodes, once per problem
+        self.dphi_sig = model.h.grad(self.x_int) @ model.sigma.value()
+        self.g_at = source_g_on(model, self.x_int)
         self.flags = {"v_range_clamped": False}
 
     def grad_bound(self) -> float:
@@ -274,7 +279,7 @@ class StraightenedProblem(_MonotoneStencil):
         ps = rng.uniform(-P, P, (n, self.grid.dim))
         u, ip, ipp = self._gauge_at(vs)
         sp = ps @ sig
-        dh = m.h.grad(xs, ts[:, None]) @ sig
+        dh = m.h.grad(xs, ts) @ sig
         quad_grad = (
             (2.0 * m.rho * ip)[:, None] * ((ip[:, None] * sp - dh) @ sig.T)
             / (u * ip)[:, None]
@@ -287,11 +292,11 @@ class StraightenedProblem(_MonotoneStencil):
         sig = m.sigma.value(t)
         u, ip, ipp = self._gauge_at(V)
         sp = grad @ sig
-        num = ip[..., None] * sp - m.h.grad(self.x_int, t) @ sig
+        num = ip[..., None] * sp - m.h.time_factor(t) * self.dphi_sig
         return (
             (0.5 * ipp / ip) * np.sum(sp * sp, axis=-1)
             - m.rho * np.sum(num * num, axis=-1) / (u * ip)
-            - (float(m.r(t)) * u + source_g(m, self.x_int, t)) / ip
+            - (float(m.r(t)) * u + self.g_at(t)) / ip
         )
 
 
@@ -464,8 +469,7 @@ def solve_transformed(
         t_end = model.T - cfg.dt
     pts = grid.points()
     u0 = model.U0.value(pts, 0.0) + model.h.value(pts, 0.0) + float(model.xi(0.0))
-    v0 = np.array([transf.psi(u) for u in u0.ravel()]).reshape(u0.shape)
-    return _march(problem, GridField(grid, 0.0, v0), cfg, t_end)
+    return _march(problem, GridField(grid, 0.0, transf.psi(u0)), cfg, t_end)
 
 
 def map_back(result: SolveResult, transf: Transformation) -> list[GridField]:

@@ -18,14 +18,17 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, DomainError, RangeError
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 _TABLE_SIZE = 512
+# Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 19; on a
+# table panel of a smooth gauge its error is below double-precision rounding
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# from linear interpolation in a table bracket, Newton's quadratic
+# convergence reaches double precision in two steps; a third is margin
+_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,13 @@ class GaugeFunction:
 class Transformation:
     """Psi, its inverse and the derivative identities, for one gauge.
 
-    Psi is evaluated by adaptive quadrature accumulated along a monotone
-    512-entry table; the inverse brackets on the table and polishes with a
-    safeguarded root find plus Newton steps (Psi' = 1/sqrt(z) is known
-    exactly).  Immutable after construction.
+    Psi is tabulated on 512 nodes by a fixed Gauss-Legendre rule per table
+    panel; between nodes it is the table value plus the same rule on the
+    remaining sub-panel.  The inverse starts from linear interpolation in the
+    table bracket and takes Newton steps with the exact derivative
+    Psi' = 1/sqrt(z), each kept inside the bracket.  Psi and its inverse take
+    a float or an array and return the same shape.  Immutable after
+    construction.
     """
 
     gauge: GaugeFunction
@@ -88,16 +94,22 @@ class Transformation:
                 f"gauge {self.gauge.name} is not positive near u = {bad!r}; "
                 "gauges must stay bounded away from zero on the domain"
             )
-        integrand = lambda t: 1.0 / math.sqrt(self.gauge.z(t))
         # accumulate panel integrals, then shift so Psi(base_point) = 0
-        psis = np.empty_like(us)
-        psis[0] = 0.0
-        for i in range(1, len(us)):
-            psis[i] = psis[i - 1] + quad(integrand, us[i - 1], us[i], **_QUAD_OPTS)[0]
+        psis = np.concatenate(([0.0], np.cumsum(self._panel(us[:-1], us[1:]))))
         k = min(max(int(np.searchsorted(us, base)) - 1, 0), len(us) - 1)
-        offset = psis[k] + quad(integrand, us[k], base, **_QUAD_OPTS)[0]
+        offset = psis[k] + self._panel(us[k], base)
         self._u_table = us
         self._psi_table = psis - offset
+
+    def _panel(self, a, b):
+        """Integral of 1/sqrt(z) from a to b, elementwise, by one Gauss-Legendre rule."""
+        half = 0.5 * (np.asarray(b) - a)
+        nodes = (0.5 * (np.asarray(b) + a))[..., None] + half[..., None] * _GL_NODES
+        return half * (1.0 / np.sqrt(self.gauge.z(nodes)) @ _GL_WEIGHTS)
+
+    def _psi_at(self, k, u):
+        """Psi(u) for u in table panel k, i.e. between nodes k and k + 1."""
+        return self._psi_table[k] + self._panel(self._u_table[k], u)
 
     @property
     def u_range(self) -> tuple[float, float]:
@@ -107,65 +119,47 @@ class Transformation:
     def v_range(self) -> tuple[float, float]:
         return float(self._psi_table[0]), float(self._psi_table[-1])
 
-    def psi(self, u: float) -> float:
-        """Psi(u): quadrature of 1/sqrt(z) from the base point to u."""
+    def psi(self, u):
+        """Psi(u): the integral of 1/sqrt(z) from the base point to u."""
         lo, hi = self.u_range
-        if not lo <= u <= hi:
+        uu = np.asarray(u, dtype=float)
+        if not np.all((lo <= uu) & (uu <= hi)):
             raise DomainError(
                 f"u = {u!r} outside transformation domain [{lo!r}, {hi!r}]"
             )
-        k = min(int(np.searchsorted(self._u_table, u)), len(self._u_table) - 1)
-        k = max(k - 1, 0)
-        integrand = lambda t: 1.0 / math.sqrt(self.gauge.z(t))
-        tail = quad(integrand, self._u_table[k], u, **_QUAD_OPTS)[0]
-        return float(self._psi_table[k] + tail)
+        k = np.clip(np.searchsorted(self._u_table, uu) - 1, 0, _TABLE_SIZE - 2)
+        return _like(u, self._psi_at(k, uu))
 
-    def psi_inverse(self, v: float) -> float:
-        """I(v): table bracketing, brentq, then Newton polish."""
+    def psi_inverse(self, v):
+        """I(v): table bracketing, then Newton steps safeguarded by the bracket."""
         vlo, vhi = self.v_range
-        if not vlo - 1e-12 <= v <= vhi + 1e-12:
+        vv = np.asarray(v, dtype=float)
+        if not np.all((vlo - 1e-12 <= vv) & (vv <= vhi + 1e-12)):
             raise RangeError(f"v = {v!r} outside Psi range [{vlo!r}, {vhi!r}]")
-        v = min(max(v, vlo), vhi)
-        k = int(np.searchsorted(self._psi_table, v))
-        k = min(max(k, 1), len(self._psi_table) - 1)
-        a, b = self._u_table[k - 1], self._u_table[k]
-        fa = self._psi_table[k - 1] - v
-        fb = self._psi_table[k] - v
-        if fa == 0.0:
-            u = float(a)
-        elif fb == 0.0:
-            u = float(b)
-        else:
-            u = brentq(lambda t: self.psi(t) - v, a, b, xtol=1e-14, rtol=8.9e-16)
-        # two Newton steps with the analytic derivative Psi' = 1/sqrt(z)
-        lo, hi = self.u_range
-        for _ in range(2):
-            u = u - (self.psi(u) - v) * math.sqrt(self.gauge.z(u))
-            u = min(max(u, lo), hi)
-        return float(u)
+        vv = np.clip(vv, vlo, vhi)
+        k = np.clip(np.searchsorted(self._psi_table, vv) - 1, 0, _TABLE_SIZE - 2)
+        a, b = self._u_table[k], self._u_table[k + 1]
+        fa, fb = self._psi_table[k], self._psi_table[k + 1]
+        u = a + (vv - fa) / (fb - fa) * (b - a)
+        for _ in range(_NEWTON_STEPS):
+            u = np.clip(u - (self._psi_at(k, u) - vv) * np.sqrt(self.gauge.z(u)), a, b)
+        return _like(v, u)
 
-    def inverse_derivatives(self, v: float) -> tuple[float, float]:
+    def inverse_derivatives(self, v):
         """(I'(v), I''(v)) = (sqrt(z(I(v))), z'(I(v)) / 2)."""
         u = self.psi_inverse(v)
-        return math.sqrt(self.gauge.z(u)), 0.5 * self.gauge.z_prime(u)
+        return _like(v, np.sqrt(self.gauge.z(u))), _like(v, 0.5 * self.gauge.z_prime(u))
 
     def inverse_interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized cubic-spline approximation of I, for grid sweeps.
 
-        Built on the monotone table; interpolation error is far below the
-        solver tolerances it serves.  The pointwise psi_inverse remains the
-        reference implementation.
+        Built on Psi at 4097 nodes; interpolation error is far below the
+        solver tolerances it serves.  psi_inverse remains the reference
+        implementation.
         """
         if not hasattr(self, "_inv_spline"):
-            integrand = lambda t: 1.0 / math.sqrt(self.gauge.z(t))
             fine_u = np.linspace(*self.u_range, 4097)
-            fine_v = np.empty_like(fine_u)
-            fine_v[0] = float(self._psi_table[0])
-            for i in range(1, len(fine_u)):
-                fine_v[i] = fine_v[i - 1] + quad(
-                    integrand, fine_u[i - 1], fine_u[i], **_QUAD_OPTS
-                )[0]
-            self._inv_spline = CubicSpline(fine_v, fine_u)
+            self._inv_spline = CubicSpline(self.psi(fine_u), fine_u)
         spline = self._inv_spline
         vlo, vhi = self.v_range
 
@@ -177,6 +171,10 @@ class Transformation:
 
         return inv
 
+
+def _like(arg, value):
+    """value as a float when arg is a scalar, else as an array."""
+    return float(value) if np.ndim(arg) == 0 else value
 
 
 # ---------------------------------------------------------------------------

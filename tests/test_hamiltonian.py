@@ -413,3 +413,113 @@ class TestReportSerialization:
         m = ham.ModulusFamily("power", 2.0, exponent=0.5)
         assert m(0.25) == pytest.approx(1.0)
         assert m(0.0) == 0.0
+
+
+def _stacked_draws(H, n, seed):
+    rng = np.random.default_rng(seed)
+    N = H.dim_state
+    lo, hi = H.eval_interval
+    x = rng.uniform(-2.0, 2.0, (n, N))
+    t = rng.uniform(0.0, 0.99 * H.t_max, n)
+    u = rng.uniform(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), n)
+    p = rng.normal(0.0, 1.0, (n, N))
+    A = rng.normal(0.0, 1.0, (n, N, N))
+    return x, t, u, p, 0.5 * (A + np.swapaxes(A, 1, 2))
+
+
+def _two_factor_model():
+    from visc import mbs
+
+    cfg = mbs.default_model().to_dict()
+    cfg.update({
+        "N": 2, "d": 1,
+        "sigma": {"form": "constant", "params": {"matrix": [[0.4], [0.1]]}},
+        "mu": {"form": "sinusoid",
+               "params": {"amplitude": [0.1, 0.05], "wavevector": [[1.0, 0.0], [0.5, 1.0]]}},
+        "h": {"form": "gaussian-bump",
+              "params": {"amplitude": 0.5, "center": [0.0, 0.3], "width": 1.2,
+                         "time_slope": 0.4}},
+        "U0": {"form": "gaussian-bump",
+               "params": {"amplitude": 0.25, "center": [0.0, 0.0], "width": 1.5}},
+    })
+    return mbs.model_from_dict(cfg)
+
+
+def _batched_builtin(name):
+    from visc import mbs
+
+    if name == "dm2-desk":
+        return mbs.dm2_hamiltonian(mbs.default_model())
+    if name == "dm2-2d":
+        return mbs.dm2_hamiltonian(_two_factor_model())
+    if name == "example1~shift-sq":
+        H = ham.example1()
+        return ham.transform_hamiltonian(H, transform.shift_sq_gauge(H.u_domain))
+    return ham.fixture(name)
+
+
+class TestBatchedEvaluation:
+    """Batched specs evaluate stacks of samples in one call; the result must
+    be the per-sample result, and every checker must report the same for a
+    batched spec and for the same fn declared pointwise."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["example1", "example2-power", "example2-power:0.3", "example2-log",
+         "dm2-desk", "dm2-2d", "example1~shift-sq"],
+    )
+    def test_stack_matches_per_sample_calls(self, name):
+        H = _batched_builtin(name)
+        assert H.batched
+        x, t, u, p, X = _stacked_draws(H, 256, seed=31)
+        stacked = H.fn(x, t, u, p, X)
+        assert np.shape(stacked) == (256,)
+        single = np.array([H.fn(x[k], t[k], u[k], p[k], X[k]) for k in range(256)])
+        assert np.all(np.isfinite(single))
+        np.testing.assert_allclose(stacked, single, rtol=1e-13, atol=1e-13)
+        assert np.ndim(H.fn(x[0], float(t[0]), float(u[0]), p[0], X[0])) == 0
+
+    @pytest.mark.parametrize("name", ["example1", "dm2-desk"])
+    def test_checkers_agree_with_pointwise_form(self, name):
+        from dataclasses import replace
+
+        from visc import mbs
+
+        H = _batched_builtin(name)
+        P = replace(H, batched=False)
+        if name == "example1":
+            cand6 = (ham.ModulusFamily("linear", 0.0), ham.ModulusFamily("linear", 1.0))
+            gauge = transform.shift_sq_gauge(H.u_domain)
+            gamma, nu_hat = ham.example1_cp7_candidates(2.0)
+        else:
+            m = mbs.default_model()
+            cand6 = mbs.cp6_candidates(m)
+            gamma, nu_hat, gauge = mbs.cp7_candidates(m, 2.0)
+        checks = [
+            lambda G: ham.check_degenerate_ellipticity(G, 300, seed=23),
+            lambda G: ham.check_gradient_modulus(G, 2.0, 300, seed=23),
+            lambda G: ham.check_structure_cp6(G, 2.0, cand6, 300, seed=23),
+            lambda G: ham.check_osgood_structure_cp7(G, gauge, gamma, nu_hat, 2.0, 300, seed=23),
+        ]
+        for check in checks:
+            a, b = check(H), check(P)
+            assert a == b
+            assert a.details == b.details
+            assert jsonio.dumps(a.to_json_dict()) == jsonio.dumps(b.to_json_dict())
+
+    def test_cp6_attempts_count_tested_candidates(self):
+        zero = ham.ModulusFamily("linear", 0.0)
+        rep = ham.check_structure_cp6(ham.example1(), 2.0, (zero, zero), 500, seed=4)
+        # rows 0 and 1 are the deterministic corners; every other row tests
+        # at least one candidate and accepts at most one
+        assert rep.details["accepts"] <= 498 <= rep.details["attempts"]
+
+    def test_cp6_rejecting_everything_raises(self, monkeypatch):
+        from visc.errors import SamplingError
+
+        monkeypatch.setattr(
+            ham, "_cp5_accepts", lambda X, Y, e1, e2, e3: np.zeros(len(X), dtype=bool)
+        )
+        zero = ham.ModulusFamily("linear", 0.0)
+        with pytest.raises(SamplingError):
+            ham.check_structure_cp6(ham.example1(), 2.0, (zero, zero), 20, seed=1)

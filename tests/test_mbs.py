@@ -255,6 +255,42 @@ class TestTransformedProblem:
                 expected, rel=1e-4, abs=1e-7
             )
 
+    def test_source_matches_termwise_formula_at_stacked_times(self):
+        # g evaluated from once-computed profile parts equals the term-by-term
+        # formula with h, Dh, D^2 h and dh/dt taken at each sample's own time
+        cfg = mbs.default_model().to_dict()
+        cfg.update({
+            "N": 2, "d": 1,
+            "sigma": {"form": "constant", "params": {"matrix": [[0.4], [0.1]]}},
+            "mu": {"form": "sinusoid",
+                   "params": {"amplitude": [0.1, 0.05],
+                              "wavevector": [[1.0, 0.0], [0.5, 1.0]]}},
+            "r": {"form": "affine", "params": {"intercept": 0.02, "slope": 0.03}},
+            "xi": {"form": "affine", "params": {"intercept": 1.0, "slope": 0.2}},
+            "h": {"form": "gaussian-bump",
+                  "params": {"amplitude": 0.5, "center": [0.0, 0.3], "width": 1.2,
+                             "time_slope": 0.4}},
+            "U0": {"form": "zero", "params": {}},
+        })
+        m = mbs.model_from_dict(cfg)
+        rng = np.random.default_rng(2)
+        xs = rng.uniform(-3.0, 3.0, (50, 2))
+        ts = rng.uniform(0.0, 1.0, 50)
+        W = m.sigma.diffusion()
+        for k in range(50):
+            x, t = xs[k], float(ts[k])
+            expected = (
+                -float(m.h.dt(x, t))
+                + 0.5 * float(np.sum(W * m.h.hess(x, t)))
+                + float(m.mu.value(x) @ m.h.grad(x, t))
+                - m.tau * float(m.h.value(x, t))
+                - (0.2 + float(m.r(t)) * float(m.xi(t)))
+            )
+            assert float(mbs.source_g(m, x, t)) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+        stacked = mbs.source_g(m, xs, ts)
+        single = [float(mbs.source_g(m, xs[k], float(ts[k]))) for k in range(50)]
+        np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=1e-16)
+
     def test_initial_datum_above_floor(self):
         m = mbs.default_model()
         H, u0 = mbs.transformed_problem(m)

@@ -203,3 +203,33 @@ class TestArrayGauges:
             assert np.shape(vals) == us.shape
             scalar = np.reshape([fn(float(u)) for u in us.ravel()], us.shape)
             np.testing.assert_allclose(vals, scalar, rtol=1e-14, atol=0.0)
+
+
+class TestArrayPsi:
+    """psi and psi_inverse take arrays; the Gauss-Legendre panel rule must
+    agree with adaptive quadrature of 1/sqrt(z) from the base point."""
+
+    @pytest.mark.parametrize(
+        "ident", ["unit", "shift-sq", "affine-sq:2,1", "exp", "mbs-exp:1,2", "arctan:1.5"]
+    )
+    def test_matches_quad_and_round_trips(self, ident):
+        from scipy.integrate import quad
+
+        gauge = transform.gauge_from_identifier(ident, (1.0, 2.0))
+        T = transform.Transformation(gauge, 0.2)
+        us = np.random.default_rng(3).uniform(*T.u_range, 60).reshape(3, 20)
+        vs = T.psi(us)
+        assert vs.shape == us.shape
+        integrand = lambda s: 1.0 / math.sqrt(gauge.z(s))
+        oracle = np.reshape(
+            [quad(integrand, T.base_point, u, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+             for u in us.ravel()],
+            us.shape,
+        )
+        assert np.max(np.abs(vs - oracle)) <= 1e-13
+        back = T.psi_inverse(vs)
+        assert back.shape == us.shape
+        assert np.max(np.abs(back - us)) <= 1e-12
+        assert type(T.psi(float(us[0, 0]))) is float
+        assert type(T.psi_inverse(float(vs[0, 0]))) is float
+        assert T.psi(float(us[1, 3])) == vs[1, 3]
