@@ -222,7 +222,7 @@ def cmd_barriers(model_path, points, out_dir, seed):
               "seed": seed}
     art = Artifacts(out_dir, config)
     ts = np.linspace(0.0, model.T * (1.0 - 1e-9), points)
-    rows = [[t, pair.k_lower(t), pair.k_upper(t)] for t in ts]
+    rows = np.column_stack((ts, pair.k_lower(ts), pair.k_upper(ts)))
     jsonio.write_csv(art.path("barriers.csv"), ["t", "k_lower", "k_upper"], rows)
     art.write_json(
         "constants.json",

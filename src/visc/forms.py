@@ -248,13 +248,15 @@ class FieldForm:
         hi = max(1.0, 1.0 + self.time_slope * T)
         return lo, hi
 
-    def sup_at(self, t: float) -> float:
-        s = float(self.time_factor(t))
-        return s * self.profile.sup if s >= 0 else s * self.profile.inf
+    def sup_at(self, t):
+        """sup over x of the field at time t, elementwise in t."""
+        s = self.time_factor(t)
+        return s * np.where(s >= 0, self.profile.sup, self.profile.inf)
 
-    def inf_at(self, t: float) -> float:
-        s = float(self.time_factor(t))
-        return s * self.profile.inf if s >= 0 else s * self.profile.sup
+    def inf_at(self, t):
+        """inf over x of the field at time t, elementwise in t."""
+        s = self.time_factor(t)
+        return s * np.where(s >= 0, self.profile.inf, self.profile.sup)
 
     def bounds(self, T: float) -> dict:
         lo, hi = self.time_factor_range(T)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import forms
 from .errors import (
@@ -31,10 +30,8 @@ from .errors import (
     PreconditionError,
 )
 from .hamiltonian import CheckReport, HamiltonianSpec, ModulusFamily
-from .osgood import OsgoodFunction, refine_max
+from .osgood import OsgoodFunction, gl_panel, refine_max
 from .transform import GaugeFunction, affine_sq_gauge
-
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 
 # ---------------------------------------------------------------------------
@@ -255,83 +252,98 @@ def heat_model() -> MbsModel:
 
 @dataclass(frozen=True)
 class BarrierPair:
-    """The explicit sub/supersolution pair and its constants."""
+    """The explicit sub/supersolution pair and its constants.  k_lower and
+    k_upper take a float or an array of times in [0, T) and keep its shape."""
 
-    k_lower: Callable[[float], float]
-    k_upper: Callable[[float], float]
+    k_lower: Callable
+    k_upper: Callable
     K0: float
     c0: float
     m0: float
     M0: float
 
 
-def _inf_source(m: MbsModel, s: float) -> float:
-    """inf over x of (tau - r(s)) h(x, s)."""
-    c = m.tau - float(m.r(s))
-    return c * m.h.inf_at(s) if c >= 0.0 else c * m.h.sup_at(s)
+def _inf_source(m: MbsModel, s):
+    """inf over x of (tau - r(s)) h(x, s), elementwise in s."""
+    c = m.tau - m.r(s)
+    return c * np.where(c >= 0.0, m.h.inf_at(s), m.h.sup_at(s))
 
 
-def _sup_source(m: MbsModel, s: float) -> float:
-    c = m.tau - float(m.r(s))
-    return c * m.h.sup_at(s) if c >= 0.0 else c * m.h.inf_at(s)
+def _sup_source(m: MbsModel, s):
+    c = m.tau - m.r(s)
+    return c * np.where(c >= 0.0, m.h.sup_at(s), m.h.inf_at(s))
 
 
-def lower_barrier(m: MbsModel, t: float) -> float:
-    """k_lower(t) = e^{-int r} (inf U0 + int_0^t e^{int r} inf_x[(tau-r)h])."""
-    if not 0.0 <= t < m.T:
+def _check_time(m: MbsModel, t) -> None:
+    if not np.all((0.0 <= np.asarray(t)) & (np.asarray(t) < m.T)):
         raise DomainError(f"t = {t!r} outside [0, {m.T!r})")
-    return _lower_barrier_closed(m, t)
 
 
-def _lower_barrier_closed(m: MbsModel, t: float) -> float:
-    # also used at t = T when taking suprema over the closed interval
+def lower_barrier(m: MbsModel, t):
+    """k_lower(t) = e^{-int r} (inf U0 + int_0^t e^{int r} inf_x[(tau-r)h])."""
+    _check_time(m, t)
+    return _lower_barrier_table(m)(t)
+
+
+def _lower_barrier_table(m: MbsModel) -> Callable:
+    """k_lower on the closed interval [0, T], elementwise, built once per model.
+
+    r and h's time factor are affine, so the integrand e^{R(s)} inf_x[(tau -
+    r(s)) h(x, s)] is smooth between the roots of tau - r and of that factor.
+    Its integral is tabulated on 256 equal panels of [0, T], with those roots
+    as extra breaks, by one Gauss-Legendre rule per panel; at t the same rule
+    adds the part of t's panel below t.
+    """
+    if "k_lower" in m._cache:
+        return m._cache["k_lower"]
     R = m.r.antiderivative
     u0_inf = m.U0.inf_at(0.0)
-    if m.h.is_zero():
-        return math.exp(-float(R(t))) * u0_inf
-    integral = quad(
-        lambda s: math.exp(float(R(s))) * _inf_source(m, s), 0.0, t, **_QUAD_OPTS
-    )[0]
-    return math.exp(-float(R(t))) * (u0_inf + integral)
+
+    def integrand(s):
+        return np.exp(R(s)) * _inf_source(m, s)
+
+    roots = [(m.tau - m.r.intercept) / m.r.slope if m.r.slope else 0.0,
+             -1.0 / m.h.time_slope if m.h.time_slope else 0.0]
+    nodes = np.union1d(np.linspace(0.0, m.T, 257),
+                       [s for s in roots if 0.0 < s < m.T])
+    table = np.concatenate(([0.0], np.cumsum(gl_panel(integrand, nodes[:-1], nodes[1:]))))
+
+    def k_lower(t):
+        t = np.asarray(t, dtype=float)
+        # t in [0, T]: the panel holding t, the last one for t = T
+        k = np.minimum(np.searchsorted(nodes, t, side="right") - 1, len(nodes) - 2)
+        return np.exp(-R(t)) * (u0_inf + (table[k] + gl_panel(integrand, nodes[k], t)))
+
+    m._cache["k_lower"] = k_lower
+    return k_lower
 
 
 def barrier_pair(m: MbsModel) -> BarrierPair:
     if "barriers" in m._cache:
         return m._cache["barriers"]
     b = m.bounds()
-    sup_klow = refine_max(lambda t: _lower_barrier_closed(m, t), 0.0, m.T, 1001)
-    c0 = max(b["u0_sup"], sup_klow)
+    k_closed = _lower_barrier_table(m)
+    c0 = max(b["u0_sup"], refine_max(k_closed, 0.0, m.T, 1001))
 
-    def k0_integrand(t: float) -> float:
-        r = float(m.r(t))
-        num = _sup_source(m, t) - c0 * r
-        return max(num, 0.0) / (1.0 + t * r)
+    def k0_integrand(t):
+        r = m.r(t)
+        return np.maximum(_sup_source(m, t) - c0 * r, 0.0) / (1.0 + t * r)
 
     K0 = max(refine_max(k0_integrand, 0.0, m.T, 1001), 0.0)
 
-    def k_lower(t: float) -> float:
-        return lower_barrier(m, t)
-
-    def k_upper(t: float) -> float:
-        if not 0.0 <= t < m.T:
-            raise DomainError(f"t = {t!r} outside [0, {m.T!r})")
+    def k_upper(t):
+        _check_time(m, t)
         return K0 * t + c0
 
-    neg_m0 = refine_max(
-        lambda t: -(_lower_barrier_closed(m, t) + m.h.inf_at(t) + float(m.xi(t))),
-        0.0,
-        m.T,
-        1001,
-    )
-    m0 = -neg_m0
-    sup_hxi = refine_max(lambda t: m.h.sup_at(t) + float(m.xi(t)), 0.0, m.T, 1001)
+    m0 = -refine_max(lambda t: -(k_closed(t) + m.h.inf_at(t) + m.xi(t)), 0.0, m.T, 1001)
+    sup_hxi = refine_max(lambda t: m.h.sup_at(t) + m.xi(t), 0.0, m.T, 1001)
     M0 = K0 * m.T + c0 + sup_hxi
-    pair = BarrierPair(k_lower, k_upper, K0, c0, m0, M0)
+    pair = BarrierPair(lambda t: lower_barrier(m, t), k_upper, K0, c0, m0, M0)
     m._cache["barriers"] = pair
     return pair
 
 
-def upper_barrier(m: MbsModel, t: float) -> float:
+def upper_barrier(m: MbsModel, t):
     return barrier_pair(m).k_upper(t)
 
 
@@ -344,84 +356,74 @@ def validate_model(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
 
     Failures are report entries, not exceptions.  max_violation is the worst
     constraint excess across all named checks (<= 0 means everything held).
+    worst_sample is the first sample with the largest failing excess (with
+    no failing sample, the one where xi + h + k_lower is least).
     """
+    if n_samples < 1:
+        raise PreconditionError(f"n_samples must be positive, got {n_samples}")
     rng = np.random.default_rng(seed)
     b = m.bounds()
     lo, hi = m.scan_box()
-    n = m.dim_state
     tol = 1e-9
-    failures: dict[str, float] = {}
-
-    def record(name: str, excess: float):
-        if excess > tol:
-            failures[name] = max(failures.get(name, 0.0), excess)
-
-    xs = rng.uniform(lo, hi, (n_samples, n))
-    ys = xs + rng.normal(0.0, 0.5, (n_samples, n))
+    xs = rng.uniform(lo, hi, (n_samples, m.dim_state))
+    ys = xs + rng.normal(0.0, 0.5, (n_samples, m.dim_state))
     ts = rng.uniform(0.0, m.T * (1.0 - 1e-12), n_samples)
     ss = rng.uniform(0.0, m.T * (1.0 - 1e-12), n_samples)
 
-    worst = -math.inf
-    worst_sample: dict = {}
-    dt_rate = 0.0
-    pair = barrier_pair(m)
-    for i in range(n_samples):
-        x, y, t, s = xs[i], ys[i], float(ts[i]), float(ss[i])
-        dxy = float(np.linalg.norm(x - y))
-        mu_x = m.mu.value(x, t)
-        mu_y = m.mu.value(y, t)
-        record("P1:mu-bounded", float(np.linalg.norm(mu_x)) - b["mu_sup"])
-        if dxy > 1e-9:
-            record(
-                "P1:mu-lipschitz",
-                float(np.linalg.norm(mu_x - mu_y)) / dxy - b["mu_lip"],
-            )
-        hx = float(m.h.value(x, t))
-        record("P2:h-nonnegative", -hx)
-        record("P2:h-bounded", hx - b["h_sup"])
-        record(
-            "P2:grad-h-bounded",
-            float(np.linalg.norm(m.h.grad(x, t))) - b["grad_h_sup"],
-        )
-        if dxy > 1e-9:
-            record(
-                "P2:grad-h-lipschitz",
-                float(np.linalg.norm(m.h.grad(x, t) - m.h.grad(y, t))) / dxy
-                - b["lip_grad_h"],
-            )
-            record(
-                "P2:dt-h-lipschitz",
-                abs(float(m.h.dt(x, t)) - float(m.h.dt(y, t))) / dxy - b["lip_dt_h"],
-            )
-        u0x = float(m.U0.value(x, 0.0))
-        record("P3:U0-nonnegative", -u0x)
-        record("P3:U0-bounded", u0x - b["u0_sup"])
-        if dxy > 1e-9:
-            record(
-                "P3:U0-lipschitz",
-                abs(u0x - float(m.U0.value(y, 0.0))) / dxy - b["u0_lip"],
-            )
-        if abs(t - s) > 1e-9:
-            dt_rate = max(dt_rate, abs(hx - float(m.h.value(x, s))) / abs(t - s))
-        xi_t = float(m.xi(t))
-        record("P2:xi-positive", max(-xi_t, 1e-6) if xi_t <= 0.0 else -1.0)
-        v_xi = xi_t + hx + pair.k_lower(t)
-        record("XI:positivity", max(-v_xi, 1e-6) if v_xi <= 0.0 else -1.0)
-        local = max(failures.values()) if failures else -v_xi
-        if local > worst:
-            worst = local
-            worst_sample = {"x": x.tolist(), "t": t}
+    def norm(v):
+        return np.linalg.norm(v, axis=-1)
 
-    record("P2:rho-positive", 1.0 if m.rho <= 0.0 else -1.0)
-    record("P2:tau-positive", 1.0 if m.tau <= 0.0 else -1.0)
-    record("dt-h:linear-envelope", dt_rate - b["dt_h_modulus_rate"] - tol)
+    dxy = norm(xs - ys)
+    apart = dxy > 1e-9
+    dxy = np.where(apart, dxy, 1.0)
 
-    max_violation = max(failures.values()) if failures else 0.0
+    def lipschitz(diff, bound):
+        # only pairs that are apart constrain the quotient
+        return np.where(apart, diff / dxy - bound, -np.inf)
+
+    def positive(v):
+        return np.where(v <= 0.0, np.maximum(-v, 1e-6), -1.0)
+
+    mu_x, hx, dh_x = m.mu.value(xs), m.h.value(xs, ts), m.h.grad(xs, ts)
+    u0x, xi_t = m.U0.value(xs, 0.0), m.xi(ts)
+    v_xi = xi_t + hx + barrier_pair(m).k_lower(ts)
+    excess = {
+        "P1:mu-bounded": norm(mu_x) - b["mu_sup"],
+        "P1:mu-lipschitz": lipschitz(norm(mu_x - m.mu.value(ys)), b["mu_lip"]),
+        "P2:h-nonnegative": -hx,
+        "P2:h-bounded": hx - b["h_sup"],
+        "P2:grad-h-bounded": norm(dh_x) - b["grad_h_sup"],
+        "P2:grad-h-lipschitz": lipschitz(norm(dh_x - m.h.grad(ys, ts)), b["lip_grad_h"]),
+        "P2:dt-h-lipschitz": lipschitz(
+            np.abs(m.h.dt(xs, ts) - m.h.dt(ys, ts)), b["lip_dt_h"]),
+        "P3:U0-nonnegative": -u0x,
+        "P3:U0-bounded": u0x - b["u0_sup"],
+        "P3:U0-lipschitz": lipschitz(np.abs(u0x - m.U0.value(ys, 0.0)), b["u0_lip"]),
+        "P2:xi-positive": positive(xi_t),
+        "XI:positivity": positive(v_xi),
+    }
+    failures = {k: float(e.max()) for k, e in excess.items() if e.max() > tol}
+    stack = np.stack(list(excess.values()))
+    worst = np.where(stack > tol, stack, -np.inf).max(axis=0)
+    # a sample with no failure has xi + h + k_lower > 0, so -v_xi < any failure
+    i = int(np.argmax(np.where(worst > -np.inf, worst, -v_xi)))
+
+    dts = np.abs(ts - ss)
+    rates = np.abs(hx - m.h.value(xs, ss)) / np.where(dts > 1e-9, dts, 1.0)
+    dt_rate = float(np.max(rates, where=dts > 1e-9, initial=0.0))
+    for name, e in (
+        ("P2:rho-positive", 1.0 if m.rho <= 0.0 else -1.0),
+        ("P2:tau-positive", 1.0 if m.tau <= 0.0 else -1.0),
+        ("dt-h:linear-envelope", dt_rate - b["dt_h_modulus_rate"] - tol),
+    ):
+        if e > tol:
+            failures[name] = e
+
     return CheckReport(
         check="validate-model",
         samples_tested=n_samples,
-        max_violation=max_violation,
-        worst_sample=worst_sample if failures else {},
+        max_violation=max(failures.values()) if failures else 0.0,
+        worst_sample={"x": xs[i].tolist(), "t": float(ts[i])} if failures else {},
         seed=seed,
         passed=not failures,
         details={"failures": sorted(failures), "dt_h_fitted_rate": dt_rate},
@@ -435,31 +437,30 @@ def barrier_residuals(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
     the closed-form derivative k_lower' = -r k_lower + inf_x[(tau - r) h]
     the residual is inf_x[(tau - r) h] - (tau - r) h(x, t) <= 0; likewise the
     upper barrier residual is K0 (1 + t r) + c0 r - (tau - r) h >= 0.
+    worst_sample is the first sample with the largest sub residual.
     """
+    if n_samples < 1:
+        raise PreconditionError(f"n_samples must be positive, got {n_samples}")
     rng = np.random.default_rng(seed)
     pair = barrier_pair(m)
     lo, hi = m.scan_box()
-    worst_sub = -math.inf
-    worst_super = math.inf
-    worst_sample: dict = {}
-    for _ in range(n_samples):
-        x = rng.uniform(lo, hi, m.dim_state)
-        t = float(rng.uniform(0.0, m.T * (1.0 - 1e-12)))
-        r = float(m.r(t))
-        hx = float(m.h.value(x, t))
-        res_sub = _inf_source(m, t) - (m.tau - r) * hx
-        res_super = pair.K0 * (1.0 + t * r) + pair.c0 * r - (m.tau - r) * hx
-        if res_sub > worst_sub:
-            worst_sub = res_sub
-            worst_sample = {"x": x.tolist(), "t": t, "side": "sub"}
-        if res_super < worst_super:
-            worst_super = res_super
+    n = m.dim_state
+    # sample k is the row (x_k, t_k), scaled per column as Generator.uniform does
+    draws = rng.random((n_samples, n + 1))
+    xs = lo + (hi - lo) * draws[:, :n]
+    ts = m.T * (1.0 - 1e-12) * draws[:, n]
+    r = m.r(ts)
+    source = (m.tau - r) * m.h.value(xs, ts)
+    res_sub = _inf_source(m, ts) - source
+    res_super = pair.K0 * (1.0 + ts * r) + pair.c0 * r - source
+    i = int(np.argmax(res_sub))
+    worst_sub, worst_super = float(res_sub[i]), float(res_super.min())
     violation = max(worst_sub, -worst_super)
     return CheckReport(
         check="barrier-residuals",
         samples_tested=n_samples,
         max_violation=violation,
-        worst_sample=worst_sample,
+        worst_sample={"x": xs[i].tolist(), "t": float(ts[i]), "side": "sub"},
         seed=seed,
         passed=violation <= 1e-8,
         details={"max_residual_sub": worst_sub, "min_residual_super": worst_super},
@@ -727,6 +728,9 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
     m0, M0 = pair.m0, pair.M0
     sig = b["sigma_op"]
 
+    def w_fn(x, t):
+        return m.h.grad(np.asarray(x, dtype=float), t) @ m.sigma.value(t)
+
     if m.rho > 0.0:
         if m0 <= 0.0:
             raise ModelError("need inf(k_lower + h + xi) > 0 when rho > 0")
@@ -766,9 +770,6 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
         gauge_kind = "mbs-exp"
         v_range = (0.0, v_max)
 
-        def w_fn(x, t):
-            return m.h.grad(np.asarray(x, dtype=float), t) @ m.sigma.value(t)
-
         def f_fn(x, t, v):
             wv = m.sigma.value(t).T @ m.h.grad(np.asarray(x, dtype=float), t)
             return (
@@ -793,9 +794,6 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
         lip_v0 = b["u0_lip"] + b["grad_h_sup"]
         gauge_kind = "identity"
         v_range = (m0, M0)
-
-        def w_fn(x, t):
-            return m.h.grad(np.asarray(x, dtype=float), t) @ m.sigma.value(t)
 
         def f_fn(x, t, v):
             return float(source_g(m, x, t)) + float(m.r(t)) * v
@@ -844,7 +842,6 @@ def lipschitz_bound(rd: RegularityData, t: float) -> tuple[float, float]:
     supremum of I' over the working interval (2 M0/m0 - 1 for the
     exponential straightening, 1 for the identity).
     """
-    if not 0.0 <= t < rd.model.T:
-        raise DomainError(f"t = {t!r} outside [0, {rd.model.T!r})")
+    _check_time(rd.model, t)
     v_bound = 2.0 * rd.M * math.exp(rd.C * t)
     return v_bound, rd.u_scale_factor * v_bound

@@ -21,11 +21,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, DomainError, RangeError
+from .osgood import gl_panel
 
 _TABLE_SIZE = 512
-# Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 19; on a
-# table panel of a smooth gauge its error is below double-precision rounding
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 # from linear interpolation in a table bracket, Newton's quadratic
 # convergence reaches double precision in two steps; a third is margin
 _NEWTON_STEPS = 3
@@ -103,9 +101,7 @@ class Transformation:
 
     def _panel(self, a, b):
         """Integral of 1/sqrt(z) from a to b, elementwise, by one Gauss-Legendre rule."""
-        half = 0.5 * (np.asarray(b) - a)
-        nodes = (0.5 * (np.asarray(b) + a))[..., None] + half[..., None] * _GL_NODES
-        return half * (1.0 / np.sqrt(self.gauge.z(nodes)) @ _GL_WEIGHTS)
+        return gl_panel(lambda u: 1.0 / np.sqrt(self.gauge.z(u)), a, b)
 
     def _psi_at(self, k, u):
         """Psi(u) for u in table panel k, i.e. between nodes k and k + 1."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from visc import forms, mbs
-from visc.errors import ConfigurationError, ModelError, PreconditionError
+from visc.errors import ConfigurationError, DomainError, ModelError, PreconditionError
 
 
 def constants_model(h0=0.0, u0=0.0, r0=0.0, tau=1.0, sigma=1.0, xi=1.0, rho=0.5, T=1.0):
@@ -157,6 +157,259 @@ class TestUpperBarrier:
             pair = mbs.barrier_pair(m)
             for t in np.linspace(0.0, m.T * 0.999, 1000):
                 assert pair.k_lower(float(t)) <= pair.k_upper(float(t)) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the barriers by adaptive quadrature and the
+# sampled checks as per-sample loops, as computed before the barrier table
+
+
+def desk_variant(**over):
+    cfg = mbs.default_model().to_dict()
+    cfg.update(over)
+    return mbs.model_from_dict(cfg)
+
+
+REFERENCE_MODELS = {
+    "constant-r": lambda: constants_model(h0=0.3, u0=0.2, r0=0.05),
+    "r-above-tau": lambda: desk_variant(
+        h={"form": "rational-bump", "params": {"amplitude": 0.4, "center": [0.5]}},
+        r={"form": "constant", "params": {"value": 0.06}}, tau=0.04, rho=1.2),
+    # tau - r(s) changes sign at s* = 0.45, a kink of the integrand off the
+    # equal-panel grid
+    "affine-r-crossing": lambda: desk_variant(
+        r={"form": "affine", "params": {"intercept": 0.02, "slope": 0.1}}, tau=0.065),
+    "time-sloped-h": lambda: desk_variant(
+        h={"form": "gaussian-bump", "params": {
+            "amplitude": 0.5, "center": [0.0], "width": 1.0, "time_slope": 0.4}}),
+    "zero-h": lambda: desk_variant(
+        h={"form": "zero", "params": {}},
+        r={"form": "affine", "params": {"intercept": 0.03, "slope": 0.02}}),
+}
+
+
+def _kinks(m):
+    roots = []
+    if m.r.slope:
+        roots.append((m.tau - m.r.intercept) / m.r.slope)
+    if m.h.time_slope:
+        roots.append(-1.0 / m.h.time_slope)
+    return [s for s in roots if 0.0 < s < m.T]
+
+
+def _scalar_inf_source(m, s):
+    c = m.tau - float(m.r(s))
+    return c * float(m.h.inf_at(s)) if c >= 0.0 else c * float(m.h.sup_at(s))
+
+
+def _scalar_sup_source(m, s):
+    c = m.tau - float(m.r(s))
+    return c * float(m.h.sup_at(s)) if c >= 0.0 else c * float(m.h.inf_at(s))
+
+
+def quad_k_lower(m, t):
+    """k_lower(t) by adaptive quadrature, with the kinks as break points."""
+    from scipy.integrate import quad
+
+    R = m.r.antiderivative
+    pts = [s for s in _kinks(m) if s < t] or None
+    integral = quad(
+        lambda s: math.exp(float(R(s))) * _scalar_inf_source(m, s), 0.0, t,
+        points=pts, epsabs=1e-14, epsrel=1e-14, limit=200,
+    )[0]
+    return math.exp(-float(R(t))) * (float(m.U0.inf_at(0.0)) + integral)
+
+
+def scalar_refine_max(fn, lo, hi, n):
+    xs = np.linspace(lo, hi, n)
+    vals = np.array([fn(x) for x in xs])
+    k = int(np.argmax(vals))
+    a, b = xs[max(k - 1, 0)], xs[min(k + 1, n - 1)]
+    for _ in range(80):
+        m1, m2 = a + (b - a) / 3.0, b - (b - a) / 3.0
+        if fn(m1) < fn(m2):
+            a = m1
+        else:
+            b = m2
+    return max(float(vals[k]), float(fn(0.5 * (a + b))))
+
+
+def quad_barrier_constants(m):
+    """(K0, c0, m0, M0) with scalar scans of the quadrature k_lower."""
+    T = m.T
+    c0 = max(m.bounds()["u0_sup"], scalar_refine_max(lambda t: quad_k_lower(m, t), 0.0, T, 1001))
+
+    def k0_integrand(t):
+        r = float(m.r(t))
+        return max(_scalar_sup_source(m, t) - c0 * r, 0.0) / (1.0 + t * r)
+
+    K0 = max(scalar_refine_max(k0_integrand, 0.0, T, 1001), 0.0)
+    m0 = -scalar_refine_max(
+        lambda t: -(quad_k_lower(m, t) + float(m.h.inf_at(t)) + float(m.xi(t))), 0.0, T, 1001)
+    sup_hxi = scalar_refine_max(lambda t: float(m.h.sup_at(t)) + float(m.xi(t)), 0.0, T, 1001)
+    return K0, c0, m0, K0 * T + c0 + sup_hxi
+
+
+def loop_validate_model(m, n_samples, seed, k_lower):
+    """validate_model as one Python pass per sample."""
+    rng = np.random.default_rng(seed)
+    b = m.bounds()
+    lo, hi = m.scan_box()
+    tol = 1e-9
+    failures = {}
+
+    def record(name, excess):
+        if excess > tol:
+            failures[name] = max(failures.get(name, 0.0), excess)
+
+    xs = rng.uniform(lo, hi, (n_samples, m.dim_state))
+    ys = xs + rng.normal(0.0, 0.5, (n_samples, m.dim_state))
+    ts = rng.uniform(0.0, m.T * (1.0 - 1e-12), n_samples)
+    ss = rng.uniform(0.0, m.T * (1.0 - 1e-12), n_samples)
+    worst, worst_sample, dt_rate = -math.inf, {}, 0.0
+    for i in range(n_samples):
+        x, y, t, s = xs[i], ys[i], float(ts[i]), float(ss[i])
+        dxy = float(np.linalg.norm(x - y))
+        mu_x, mu_y = m.mu.value(x, t), m.mu.value(y, t)
+        record("P1:mu-bounded", float(np.linalg.norm(mu_x)) - b["mu_sup"])
+        hx = float(m.h.value(x, t))
+        record("P2:h-nonnegative", -hx)
+        record("P2:h-bounded", hx - b["h_sup"])
+        record("P2:grad-h-bounded", float(np.linalg.norm(m.h.grad(x, t))) - b["grad_h_sup"])
+        u0x = float(m.U0.value(x, 0.0))
+        record("P3:U0-nonnegative", -u0x)
+        record("P3:U0-bounded", u0x - b["u0_sup"])
+        if dxy > 1e-9:
+            record("P1:mu-lipschitz", float(np.linalg.norm(mu_x - mu_y)) / dxy - b["mu_lip"])
+            record("P2:grad-h-lipschitz",
+                   float(np.linalg.norm(m.h.grad(x, t) - m.h.grad(y, t))) / dxy
+                   - b["lip_grad_h"])
+            record("P2:dt-h-lipschitz",
+                   abs(float(m.h.dt(x, t)) - float(m.h.dt(y, t))) / dxy - b["lip_dt_h"])
+            record("P3:U0-lipschitz",
+                   abs(u0x - float(m.U0.value(y, 0.0))) / dxy - b["u0_lip"])
+        if abs(t - s) > 1e-9:
+            dt_rate = max(dt_rate, abs(hx - float(m.h.value(x, s))) / abs(t - s))
+        xi_t = float(m.xi(t))
+        record("P2:xi-positive", max(-xi_t, 1e-6) if xi_t <= 0.0 else -1.0)
+        v_xi = xi_t + hx + k_lower(t)
+        record("XI:positivity", max(-v_xi, 1e-6) if v_xi <= 0.0 else -1.0)
+        local = max(failures.values()) if failures else -v_xi
+        if local > worst:
+            worst, worst_sample = local, {"x": x.tolist(), "t": t}
+    record("P2:rho-positive", 1.0 if m.rho <= 0.0 else -1.0)
+    record("P2:tau-positive", 1.0 if m.tau <= 0.0 else -1.0)
+    record("dt-h:linear-envelope", dt_rate - b["dt_h_modulus_rate"] - tol)
+    max_violation = max(failures.values()) if failures else 0.0
+    return sorted(failures), max_violation, worst_sample if failures else {}, dt_rate
+
+
+def loop_barrier_residuals(m, n_samples, seed, K0, c0):
+    """barrier_residuals as one draw and one evaluation per sample."""
+    rng = np.random.default_rng(seed)
+    lo, hi = m.scan_box()
+    worst_sub, worst_super, worst_sample = -math.inf, math.inf, {}
+    for _ in range(n_samples):
+        x = rng.uniform(lo, hi, m.dim_state)
+        t = float(rng.uniform(0.0, m.T * (1.0 - 1e-12)))
+        r = float(m.r(t))
+        hx = float(m.h.value(x, t))
+        res_sub = _scalar_inf_source(m, t) - (m.tau - r) * hx
+        res_super = K0 * (1.0 + t * r) + c0 * r - (m.tau - r) * hx
+        if res_sub > worst_sub:
+            worst_sub, worst_sample = res_sub, {"x": x.tolist(), "t": t, "side": "sub"}
+        worst_super = min(worst_super, res_super)
+    return worst_sub, worst_super, worst_sample
+
+
+class TestBarrierTable:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_k_lower_matches_quadrature(self, name):
+        m = REFERENCE_MODELS[name]()
+        if name == "affine-r-crossing":
+            assert _kinks(m) == [pytest.approx(0.45)]
+        ts = np.concatenate((np.linspace(0.0, m.T * (1.0 - 1e-9), 97), _kinks(m)))
+        expected = np.array([quad_k_lower(m, float(t)) for t in ts])
+        got = mbs.lower_barrier(m, ts)
+        assert got.shape == ts.shape
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+        for t, k in zip(ts[::8], got[::8]):
+            single = mbs.lower_barrier(m, float(t))
+            assert isinstance(single, float)
+            assert single == pytest.approx(float(k), rel=0.0, abs=1e-16)
+
+    @pytest.mark.parametrize("name", ["constant-r", "r-above-tau", "affine-r-crossing",
+                                      "time-sloped-h"])
+    def test_constants_match_quadrature_path(self, name):
+        m = REFERENCE_MODELS[name]()
+        pair = mbs.barrier_pair(m)
+        K0, c0, m0, M0 = quad_barrier_constants(m)
+        assert abs(pair.K0 - K0) <= 1e-13
+        assert abs(pair.c0 - c0) <= 1e-13
+        assert abs(pair.m0 - m0) <= 1e-13
+        assert abs(pair.M0 - M0) <= 1e-13
+
+    def test_array_domain_and_upper_barrier(self):
+        m = mbs.default_model()
+        pair = mbs.barrier_pair(m)
+        with pytest.raises(DomainError):
+            pair.k_lower(np.array([0.2, m.T]))
+        with pytest.raises(DomainError):
+            pair.k_upper(np.array([-1e-3, 0.2]))
+        ts = np.linspace(0.0, 0.99, 5)
+        np.testing.assert_array_equal(pair.k_upper(ts), pair.K0 * ts + pair.c0)
+
+
+class TestBatchedChecksMatchLoops:
+    MODELS = {
+        "default": mbs.default_model,
+        "heat": mbs.heat_model,
+        "r-above-tau": REFERENCE_MODELS["r-above-tau"],
+        "time-sloped-h": REFERENCE_MODELS["time-sloped-h"],
+        "2d": lambda: desk_variant(
+            N=2, d=2,
+            sigma={"form": "constant", "params": {"matrix": [[0.4, 0.0], [0.1, 0.3]]}},
+            mu={"form": "sinusoid", "params": {
+                "amplitude": [0.05, 0.03], "wavevector": [[1.0, 0.0], [0.5, 1.0]]}},
+            h={"form": "gaussian-bump", "params": {
+                "amplitude": 0.5, "center": [0.0, 0.3], "width": 1.0, "time_slope": 0.2}},
+            U0={"form": "gaussian-bump", "params": {
+                "amplitude": 0.25, "center": [0.0, 0.0], "width": 1.5}}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_validate_model_matches_loop(self, name):
+        m = self.MODELS[name]()
+        rep = mbs.validate_model(m, 400, seed=13)
+        failures, max_violation, worst_sample, dt_rate = loop_validate_model(
+            m, 400, 13, lambda t: quad_k_lower(m, t))
+        assert rep.details["failures"] == failures
+        assert rep.passed == (not failures)
+        assert rep.worst_sample == worst_sample
+        assert rep.max_violation == pytest.approx(max_violation, rel=0.0, abs=1e-13)
+        assert rep.details["dt_h_fitted_rate"] == pytest.approx(dt_rate, rel=0.0, abs=1e-13)
+        if name == "heat":
+            assert worst_sample and "P3:U0-nonnegative" in failures
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_barrier_residuals_match_loop(self, name):
+        m = self.MODELS[name]()
+        pair = mbs.barrier_pair(m)
+        rep = mbs.barrier_residuals(m, 500, seed=17)
+        worst_sub, worst_super, worst_sample = loop_barrier_residuals(
+            m, 500, 17, pair.K0, pair.c0)
+        assert rep.worst_sample == worst_sample
+        assert rep.passed == (max(worst_sub, -worst_super) <= 1e-8)
+        assert rep.details["max_residual_sub"] == pytest.approx(worst_sub, rel=0.0, abs=1e-13)
+        assert rep.details["min_residual_super"] == pytest.approx(
+            worst_super, rel=0.0, abs=1e-13)
+
+    def test_checks_need_a_sample(self):
+        m = mbs.default_model()
+        with pytest.raises(PreconditionError):
+            mbs.validate_model(m, 0, seed=1)
+        with pytest.raises(PreconditionError):
+            mbs.barrier_residuals(m, 0, seed=1)
 
 
 class TestBarrierResiduals:

@@ -107,6 +107,45 @@ class TestSupFormula:
             osgood.sup_formula(0.1, self.INTERVAL, n_grid=10)
 
 
+class TestRefineMax:
+    @staticmethod
+    def scalar_refine_max(fn, lo, hi, n):
+        # the maximiser as a Python loop over float evaluations
+        xs = np.linspace(lo, hi, n)
+        vals = [fn(float(x)) for x in xs]
+        k = int(np.argmax(vals))
+        a, b = xs[max(k - 1, 0)], xs[min(k + 1, n - 1)]
+        for _ in range(80):
+            m1, m2 = a + (b - a) / 3.0, b - (b - a) / 3.0
+            if fn(m1) < fn(m2):
+                a = m1
+            else:
+                b = m2
+        return max(vals[k], fn(0.5 * (a + b)))
+
+    @pytest.mark.parametrize(
+        "fn, interval",
+        [
+            (lambda x: np.sin(3.0 * x) * np.exp(-x), (0.0, 2.0)),
+            (lambda x: -np.abs(x - 0.3), (-1.0, 1.0)),
+            (lambda x: 2.0 * x, (0.0, 1.0)),
+        ],
+        ids=["smooth-interior", "kink", "right-endpoint"],
+    )
+    def test_one_array_scan_matches_scalar_search(self, fn, interval):
+        shapes = []
+
+        def spy(x):
+            shapes.append(np.shape(x))
+            return fn(np.asarray(x))
+
+        val = osgood.refine_max(spy, *interval, 1001)
+        assert shapes[0] == (1001,)
+        assert all(sh in ((2,), ()) for sh in shapes[1:])
+        assert val == pytest.approx(
+            self.scalar_refine_max(lambda x: float(fn(x)), *interval, 1001), rel=0.0, abs=1e-15)
+
+
 class TestDivergenceScore:
     def test_linear_matches_log(self):
         g = osgood.linear(1.0, l=1.0)
