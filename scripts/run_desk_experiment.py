@@ -27,7 +27,7 @@ def main():
     (out / "model.json").write_text(jsonio.dumps(model.to_dict()))
 
     grid = solver.GridSpec(box=((-4.0, 4.0),), nodes=(201,))
-    result = solver.solve(model, grid, t_end=0.9, seed=args.seed)
+    result = solver.solve(model, grid, t_end=0.9)
     pts = grid.points()[:, 0]
     rows = []
     for f in result.fields:

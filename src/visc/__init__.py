@@ -4,6 +4,7 @@ transformations and sampled checks of the comparison-theorem hypotheses."""
 
 from . import forms, jsonio, mbs, osgood, solver, transform
 from .errors import (
+    BlowUpError,
     ConfigurationError,
     DomainError,
     ModelError,

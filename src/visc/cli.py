@@ -122,9 +122,8 @@ def main():
 @click.option("--scheme", "scheme_path", default=None, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--t-end", type=float, default=None)
-@click.option("--seed", type=int, default=0)
 @_guard
-def cmd_solve(model_path, grid_path, scheme_path, out_dir, t_end, seed):
+def cmd_solve(model_path, grid_path, scheme_path, out_dir, t_end):
     """March the pricing equation and write field snapshots and the
     barrier-sandwich report."""
     model = mbs.load_model(model_path)
@@ -132,11 +131,10 @@ def cmd_solve(model_path, grid_path, scheme_path, out_dir, t_end, seed):
     problem = solver.PricingProblem(model, grid)
     cfg = _load_scheme(scheme_path, problem)
     config = {
-        "command": "solve", "model": model.to_dict(), "grid": grid_path,
-        "t_end": t_end, "seed": seed,
+        "command": "solve", "model": model.to_dict(), "grid": grid_path, "t_end": t_end,
     }
     art = Artifacts(out_dir, config)
-    result = solver.solve(model, grid, cfg=cfg, t_end=t_end, seed=seed)
+    result = solver.solve(model, grid, cfg=cfg, t_end=t_end)
     pts = grid.points().reshape(-1, grid.dim)
     rows = []
     for f in result.fields:
@@ -154,8 +152,7 @@ def cmd_solve(model_path, grid_path, scheme_path, out_dir, t_end, seed):
         for f in result.fields
     ]
     ok = all(s["sandwich_ok"] for s in sandwich)
-    art.write_json("sandwich.json", {"fields": sandwich, "flags": result.flags,
-                                     "pass": ok, "seed": seed})
+    art.write_json("sandwich.json", {"fields": sandwich, "flags": result.flags, "pass": ok})
     art.finalize()
     sys.exit(EXIT_OK if ok else EXIT_CHECK)
 
@@ -212,21 +209,19 @@ def cmd_check_conditions(model_path, samples, seed, R, out_dir):
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--points", type=int, default=1000)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0)
 @_guard
-def cmd_barriers(model_path, points, out_dir, seed):
+def cmd_barriers(model_path, points, out_dir):
     """Tabulate the lower/upper barriers on a time grid."""
     model = mbs.load_model(model_path)
     pair = mbs.barrier_pair(model)
-    config = {"command": "barriers", "model": model.to_dict(), "points": points,
-              "seed": seed}
+    config = {"command": "barriers", "model": model.to_dict(), "points": points}
     art = Artifacts(out_dir, config)
     ts = np.linspace(0.0, model.T * (1.0 - 1e-9), points)
     rows = np.column_stack((ts, pair.k_lower(ts), pair.k_upper(ts)))
     jsonio.write_csv(art.path("barriers.csv"), ["t", "k_lower", "k_upper"], rows)
     art.write_json(
         "constants.json",
-        {"K0": pair.K0, "c0": pair.c0, "m0": pair.m0, "M0": pair.M0, "seed": seed},
+        {"K0": pair.K0, "c0": pair.c0, "m0": pair.m0, "M0": pair.M0},
     )
     art.finalize()
     sys.exit(EXIT_OK)
@@ -238,13 +233,12 @@ def cmd_barriers(model_path, points, out_dir, seed):
 @click.option("--dt", type=float, default=1e-4)
 @click.option("--T", "t_flow", type=float, default=1.0)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0)
 @_guard
-def cmd_osgood_demo(gamma_id, f0, dt, t_flow, out_dir, seed):
+def cmd_osgood_demo(gamma_id, f0, dt, t_flow, out_dir):
     """Euler flow of f' = Gamma(f) plus divergence scores of 1/Gamma."""
     gamma = osgood.from_identifier(gamma_id)
     config = {"command": "osgood-demo", "gamma": gamma_id, "f0": f0, "dt": dt,
-              "T": t_flow, "seed": seed}
+              "T": t_flow}
     art = Artifacts(out_dir, config)
     traj = osgood.ode_flow(gamma, f0, t_flow, dt)
     jsonio.write_csv(art.path("flow.csv"), ["t", "f"], zip(traj.times, traj.values))
@@ -259,7 +253,6 @@ def cmd_osgood_demo(gamma_id, f0, dt, t_flow, out_dir, seed):
             "tag": gamma.tag,
             "saturated": traj.saturated,
             "divergence_class": osgood.classify_divergence(scores),
-            "seed": seed,
         },
     )
     art.finalize()
@@ -272,16 +265,15 @@ def cmd_osgood_demo(gamma_id, f0, dt, t_flow, out_dir, seed):
               help="comma-separated grid JSON paths, each refining the previous 2x")
 @click.option("--t-end", type=float, required=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0)
 @_guard
-def cmd_convergence(model_path, grid_paths, t_end, out_dir, seed):
+def cmd_convergence(model_path, grid_paths, t_end, out_dir):
     """Refinement study: successive differences and empirical orders."""
     model = mbs.load_model(model_path)
     grids = [_load_grid(p) for p in grid_paths.split(",")]
     config = {"command": "convergence", "model": model.to_dict(),
-              "grids": grid_paths, "t_end": t_end, "seed": seed}
+              "grids": grid_paths, "t_end": t_end}
     art = Artifacts(out_dir, config)
-    rows = solver.refinement_study(model, grids, t_end, seed=seed)
+    rows = solver.refinement_study(model, grids, t_end)
     jsonio.write_csv(
         art.path("refinement.csv"),
         ["grid", "dx", "diff", "order"],
@@ -317,7 +309,7 @@ def cmd_oracle_compare(model_path, point_str, t_probe, paths, steps, grid_path,
     else:
         box = tuple((float(xi) - 2.0 * np.pi, float(xi) + 2.0 * np.pi) for xi in x)
         grid = solver.GridSpec(box=box, nodes=(401,) * model.dim_state)
-    result = solver.solve(model, grid, t_end=t_probe, seed=seed)
+    result = solver.solve(model, grid, t_end=t_probe)
     field = result.final()
     axes = grid.axes()
     idx = tuple(int(np.argmin(np.abs(ax - xi))) for ax, xi in zip(axes, x))

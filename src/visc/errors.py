@@ -31,3 +31,13 @@ class SamplingError(ViscError, RuntimeError):
 
 class QuadratureError(ViscError, ArithmeticError):
     """An integrand is singular or undefined inside the integration range."""
+
+
+class BlowUpError(ViscError, ArithmeticError):
+    """A march produced non-finite values; step is the index of the first
+    recorded step found with them, t its time."""
+
+    def __init__(self, step: int, t: float):
+        super().__init__(f"non-finite field values at step {step} (t = {t!r})")
+        self.step = step
+        self.t = t

@@ -15,13 +15,17 @@ Each problem supplies only its reaction term.  For U it is
 
 with den = U + h + xi floored at m0/2 (diagnostic flag when the floor binds);
 for v it is the gauge-curvature and transformed quadratic terms plus the
-zero-order source.  With theta_k at least the sampled sup of |dH/dp_k| and
-dt under the CFL bound, every node update is nondecreasing in each stencil
-value, giving the discrete comparison property the tests lean on.  theta is
-fixed for a run, so the CFL bound is checked once per run.  The boundary
-ring is refreshed by constant extrapolation from the nearest interior node;
-the equation itself is posed on all of R^N, so truncation is ours, and runs
-report when the reserved padding margin is exhausted.
+zero-order source.  With sigma sigma^T = diag(a), the reaction's slope in the
+central gradient is dH/dp_k = a_k c_k(x, t), and the update is nondecreasing
+in each stencil value (the discrete comparison property the tests lean on)
+when a_k/dx_k + theta_k >= |dH/dp_k| at every node and dt is under the CFL
+bound.  The automatic theta is the least that satisfies this on the initial
+field with a safety factor; runs record the realised max |dH/dp_k| and report
+the smallest margin as the flag monotone_margin.  theta is fixed for a run,
+so the CFL bound is checked once per run.  The boundary ring is refreshed by
+constant extrapolation from the nearest interior node; the equation itself is
+posed on all of R^N, so truncation is ours, and runs report when the reserved
+padding margin is exhausted.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelError, PreconditionError
+from .errors import BlowUpError, ConfigurationError, ModelError, PreconditionError
 from .hamiltonian import CheckReport
 from .mbs import MbsModel, RegularityData, barrier_pair, lipschitz_bound, source_g_on
 from .transform import Transformation
@@ -166,10 +170,13 @@ class _MonotoneStencil:
         b = model.bounds()
         self.mu_sup = b["mu_sup"]
         self.r_sup = b["r_max"]
+        self.a_dx = self.diffusion / np.asarray(grid.dx)
+        # running max over nodes and steps of |dH/dp_k|, per axis
+        self.slope_sup = np.zeros(grid.dim)
 
-    def grad_bound(self) -> float:
-        b = self.model.bounds()
-        return 2.0 * (b["u0_lip"] + b["grad_h_sup"] + 1.0)
+    def _record_slope(self, b: np.ndarray) -> None:
+        b_max = np.abs(b).reshape(-1, self.grid.dim).max(axis=0)
+        np.maximum(self.slope_sup, b_max, out=self.slope_sup)
 
     def _reaction(self, W: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -211,18 +218,8 @@ class PricingProblem(_MonotoneStencil):
         self.h_phi = model.h.value(self.x_int)
         self.flags = {"denominator_clamped": False}
 
-    def dH_dp_samples(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """|dH/dp_k| samples of the quadratic term over the barrier-bounded
-        state set; zero when rho = 0."""
-        m = self.model
-        if m.rho == 0.0:
-            return np.zeros((n, self.grid.dim))
-        sig = m.sigma.value(0.0)
-        pair = barrier_pair(m)
-        P = self.grad_bound()
-        us = rng.uniform(self.den_floor, pair.M0 + pair.m0, n)
-        ps = rng.uniform(-P, P, (n, self.grid.dim))
-        return np.abs(2.0 * m.rho * ((ps @ sig) @ sig.T) / us[:, None])
+    def initial_values(self) -> np.ndarray:
+        return self.model.U0.value(self.grid.points(), 0.0)
 
     def _reaction(self, U: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         m = self.model
@@ -235,6 +232,8 @@ class PricingProblem(_MonotoneStencil):
                 self.flags["denominator_clamped"] = True
                 den = np.maximum(den, self.den_floor)
             out -= m.rho * np.sum(sp * sp, axis=-1) / den
+            # dH/dp_k = -2 rho a_k p_k / den
+            self._record_slope((2.0 * m.rho * self.diffusion) * grad / den[..., None])
         return out
 
 
@@ -256,9 +255,14 @@ class StraightenedProblem(_MonotoneStencil):
         self.dphi_sig = model.h.grad(self.x_int) @ model.sigma.value()
         self.g_at = source_g_on(model, self.x_int)
         self.flags = {"v_range_clamped": False}
-
-    def grad_bound(self) -> float:
-        return super().grad_bound() / math.sqrt(self.transf.gauge.lambda0)
+        # stable_dt's discount: the source -(r u + g) / I'(v), u = I(v), falls in v at the
+        # rate r - (r u + g) z'(u) / 2z(u); its sup over the u-range, nodes and 33 times
+        u = np.linspace(*transf.u_range, 257)[:, None]
+        q = 0.5 * transf.gauge.z_prime(u) / transf.gauge.z(u)
+        ts = np.linspace(0.0, model.T, 33)
+        g = np.array([self.g_at(t) for t in ts]).reshape(len(ts), -1)
+        rate = model.r(ts) * (1.0 - u * q) - q * np.where(q > 0.0, g.min(axis=1), g.max(axis=1))
+        self.r_sup = max(float(rate.max()), 0.0)
 
     def _gauge_at(self, v: np.ndarray):
         vv = np.clip(v, self.v_lo, self.v_hi)
@@ -267,25 +271,10 @@ class StraightenedProblem(_MonotoneStencil):
         u = self.inv(vv)
         return u, np.sqrt(self.transf.gauge.z(u)), 0.5 * self.transf.gauge.z_prime(u)
 
-    def dH_dp_samples(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def initial_values(self) -> np.ndarray:
         m = self.model
-        sig = m.sigma.value(0.0)
-        P = self.grad_bound()
-        lo = np.array([b[0] for b in self.grid.box])
-        hi = np.array([b[1] for b in self.grid.box])
-        xs = rng.uniform(lo, hi, (n, self.grid.dim))
-        ts = rng.uniform(0.0, m.T, n)
-        vs = rng.uniform(self.v_lo, self.v_hi, n)
-        ps = rng.uniform(-P, P, (n, self.grid.dim))
-        u, ip, ipp = self._gauge_at(vs)
-        sp = ps @ sig
-        dh = m.h.grad(xs, ts) @ sig
-        quad_grad = (
-            (2.0 * m.rho * ip)[:, None] * ((ip[:, None] * sp - dh) @ sig.T)
-            / (u * ip)[:, None]
-        )
-        curv_grad = (ipp / ip)[:, None] * (sp @ sig.T)
-        return np.abs(quad_grad) + np.abs(curv_grad)
+        pts = self.grid.points()
+        return self.transf.psi(m.U0.value(pts, 0.0) + m.h.value(pts, 0.0) + float(m.xi(0.0)))
 
     def _reaction(self, V: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         m = self.model
@@ -293,6 +282,9 @@ class StraightenedProblem(_MonotoneStencil):
         u, ip, ipp = self._gauge_at(V)
         sp = grad @ sig
         num = ip[..., None] * sp - m.h.time_factor(t) * self.dphi_sig
+        # dH/dp = sigma c, c = (I''/I') sigma^T p - 2 rho num / u
+        c = (ipp / ip)[..., None] * sp - (2.0 * m.rho / u)[..., None] * num
+        self._record_slope(c @ sig.T)
         return (
             (0.5 * ipp / ip) * np.sum(sp * sp, axis=-1)
             - m.rho * np.sum(num * num, axis=-1) / (u * ip)
@@ -304,41 +296,43 @@ class StraightenedProblem(_MonotoneStencil):
 # scheme configuration
 
 
-def estimate_theta(problem, seed: int = 0, n_samples: int = 10_000) -> tuple[float, ...]:
-    """Per-dimension dissipation: 1.2x the sampled sup of |dH/dp_k|."""
-    rng = np.random.default_rng(seed)
-    samples = problem.dH_dp_samples(rng, n_samples)
-    return tuple(float(1.2 * samples[:, k].max()) for k in range(problem.grid.dim))
+THETA_SAFETY = 2.0
+
+
+def estimate_theta(problem) -> tuple[float, ...]:
+    """Per-dimension dissipation certified on the problem's initial field:
+    theta_k = max(0, s max|dH/dp_k| - a_k/dx_k), where the safety factor
+    s = THETA_SAFETY leaves room for the gradients the run forms later.
+
+    This is zero unless the cell-Peclet condition a_k/dx_k >= |dH/dp_k|
+    fails somewhere (a degenerate axis has a_k = 0 and dH/dp_k = 0).  Runs
+    re-certify it on every step they take and report the margin.
+    """
+    problem.slope_sup = np.zeros(problem.grid.dim)
+    problem.rhs(problem.initial_values(), 0.0, (0.0,) * problem.grid.dim)
+    theta = np.maximum(0.0, THETA_SAFETY * problem.slope_sup - problem.a_dx)
+    return tuple(float(v) for v in theta)
 
 
 def stable_dt(problem, theta: Sequence[float]) -> float:
-    """CFL bound including drift and discount contributions."""
+    """CFL bound including drift and discount contributions: with it the
+    diagonal coefficient of every node update is nonnegative."""
     g = problem.grid
     dx = g.dx
     denom = sum(
         problem.diffusion[k] / dx[k] ** 2 + problem.mu_sup / dx[k] + theta[k] / dx[k]
         for k in range(g.dim)
     ) + problem.r_sup
-    if denom <= 0.0:
-        return g.cfl_safety
-    return g.cfl_safety / denom
+    return g.cfl_safety / denom if denom > 0.0 else g.cfl_safety
 
 
-def auto_config(problem, seed: int = 0, record_every: int = 100) -> SchemeConfig:
-    theta = estimate_theta(problem, seed)
+def auto_config(problem, record_every: int = 100) -> SchemeConfig:
+    theta = estimate_theta(problem)
     return SchemeConfig(theta=theta, dt=stable_dt(problem, theta), record_every=record_every)
 
 
 def _check_cfl(problem, cfg: SchemeConfig):
-    g = problem.grid
-    dx = g.dx
-    spec_bound = (
-        g.cfl_safety
-        * min(d**2 for d in dx)
-        / max(sum(problem.diffusion[k] + cfg.theta[k] * dx[k] for k in range(g.dim)), 1e-300)
-    )
-    guard = stable_dt(problem, cfg.theta)
-    limit = min(spec_bound, guard)
+    limit = stable_dt(problem, cfg.theta)
     if cfg.dt > limit * (1.0 + 1e-12):
         raise ConfigurationError(
             f"dt = {cfg.dt!r} violates the stability bound {limit!r} "
@@ -346,11 +340,17 @@ def _check_cfl(problem, cfg: SchemeConfig):
         )
 
 
-def _advance(field_in: GridField, problem, theta: Sequence[float], dt: float) -> GridField:
-    interior_new = _interior(field_in.values) + dt * problem.rhs(
-        field_in.values, field_in.t, theta
-    )
-    return GridField(field_in.grid, field_in.t + dt, np.pad(interior_new, 1, mode="edge"))
+def _advance(values: np.ndarray, t: float, problem, theta, dt: float) -> np.ndarray:
+    """The values one explicit Euler step on: the interior update, then the
+    boundary ring copied from its inner neighbours (what np.pad's edge mode
+    gives, corners included)."""
+    out = np.empty_like(values)
+    np.add(_interior(values), dt * problem.rhs(values, t, theta), out=_interior(out))
+    for ax in range(out.ndim):
+        head = (slice(None),) * ax
+        out[head + (0,)] = out[head + (1,)]
+        out[head + (-1,)] = out[head + (-2,)]
+    return out
 
 
 def step(field_in: GridField, problem, cfg: SchemeConfig) -> GridField:
@@ -360,7 +360,8 @@ def step(field_in: GridField, problem, cfg: SchemeConfig) -> GridField:
     if field_in.grid != problem.grid:
         raise ConfigurationError("field grid does not match the problem grid")
     _check_cfl(problem, cfg)
-    return _advance(field_in, problem, cfg.theta, cfg.dt)
+    values = _advance(field_in.values, field_in.t, problem, cfg.theta, cfg.dt)
+    return GridField(field_in.grid, field_in.t + cfg.dt, values)
 
 
 # ---------------------------------------------------------------------------
@@ -383,38 +384,40 @@ class SolveResult:
         return self.fields[-1]
 
 
-def _march(
-    problem, current: GridField, cfg: SchemeConfig, t_end: float, on_record=None
-) -> SolveResult:
-    """Step from `current` to t_end, the last step clipped to land on it,
+def _march(problem, start: GridField, cfg: SchemeConfig, t_end: float) -> SolveResult:
+    """Step from `start` to t_end, the last step clipped to land on it,
     recording the start, every record_every-th step and the end.
 
     theta is fixed for the run and every dt_k <= cfg.dt, so one CFL check
-    covers every step.  on_record, if given, is called on each recorded field.
+    covers every step.  A recorded field with non-finite values raises
+    BlowUpError.  The flags report the smallest monotonicity margin
+    a_k/dx_k + theta_k - max|dH/dp_k| over axes and steps, never enforced.
     """
     _check_cfl(problem, cfg)
-    fields = [current]
+    problem.slope_sup = np.zeros(problem.grid.dim)
+    fields = [start]
+    values, t = start.values, start.t
     n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
     for k in range(n_steps):
-        current = _advance(current, problem, cfg.theta, min(cfg.dt, t_end - current.t))
+        dt = min(cfg.dt, t_end - t)
+        values = _advance(values, t, problem, cfg.theta, dt)
+        t = t + dt
         if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-            fields.append(current)
-    if on_record is not None:
-        for f in fields:
-            on_record(f)
+            if not np.isfinite(values).all():
+                raise BlowUpError(k + 1, t)
+            fields.append(GridField(problem.grid, t, values))
     flags = dict(problem.flags)
     flags["steps"] = n_steps
+    flags["dH_dp_max"] = problem.slope_sup.tolist()
+    flags["monotone_margin"] = float(np.min(problem.a_dx + cfg.theta - problem.slope_sup))
     return SolveResult(fields, cfg, flags)
 
 
 def _sandwich_annotate(model: MbsModel, pair, field_out: GridField):
     tol = 2.0 * max(field_out.grid.dx) * (1.0 + pair.K0)
     t = min(field_out.t, model.T * (1.0 - 1e-12))
-    klo = pair.k_lower(t)
-    kup = pair.k_upper(t)
-    excess = max(
-        float((klo - field_out.values).max()), float((field_out.values - kup).max())
-    )
+    klo, kup = pair.k_lower(t), pair.k_upper(t)
+    excess = max(float((klo - field_out.values).max()), float((field_out.values - kup).max()))
     field_out.meta.update(
         k_lower=klo, k_upper=kup, sandwich_tol=tol,
         sandwich_excess=excess, sandwich_ok=bool(excess <= tol),
@@ -430,6 +433,9 @@ def solve(
 ) -> SolveResult:
     """March the pricing equation from U0 and return the recorded fields.
 
+    Without cfg the scheme is auto_config's: the certified theta and its
+    CFL step.  seed is unused; nothing in a run is random.
+
     Every recorded field is annotated with the barrier sandwich check
     k_lower(t) - tol <= U <= k_upper(t) + tol, tol = 2 dx (1 + K0); a
     violation is flagged, not fatal.  The run also reports when the boundary
@@ -437,16 +443,16 @@ def solve(
     """
     problem = PricingProblem(model, grid)
     if cfg is None:
-        cfg = auto_config(problem, seed)
+        cfg = auto_config(problem)
     if t_end is None:
         t_end = model.T - cfg.dt
     if t_end >= model.T:
         raise ConfigurationError(f"t_end = {t_end!r} must stay below maturity {model.T!r}")
     pair = barrier_pair(model)
-    start = GridField(grid, 0.0, model.U0.value(grid.points(), 0.0))
-    result = _march(
-        problem, start, cfg, t_end, lambda f: _sandwich_annotate(model, pair, f)
-    )
+    start = GridField(grid, 0.0, problem.initial_values())
+    result = _march(problem, start, cfg, t_end)
+    for f in result.fields:
+        _sandwich_annotate(model, pair, f)
     n_steps = result.flags["steps"]
     result.flags["boundary_influence_nodes"] = n_steps
     result.flags["padding_margin_exhausted"] = n_steps > grid.padding
@@ -461,15 +467,13 @@ def solve_transformed(
     t_end: float | None = None,
     seed: int = 0,
 ) -> SolveResult:
-    """March the straightened equation in v = Psi(u) from v0 = Psi(u0)."""
+    """March the straightened equation in v = Psi(u) from Psi(u0); cfg, seed as in solve."""
     problem = StraightenedProblem(model, transf, grid)
     if cfg is None:
-        cfg = auto_config(problem, seed)
+        cfg = auto_config(problem)
     if t_end is None:
         t_end = model.T - cfg.dt
-    pts = grid.points()
-    u0 = model.U0.value(pts, 0.0) + model.h.value(pts, 0.0) + float(model.xi(0.0))
-    return _march(problem, GridField(grid, 0.0, transf.psi(u0)), cfg, t_end)
+    return _march(problem, GridField(grid, 0.0, problem.initial_values()), cfg, t_end)
 
 
 def map_back(result: SolveResult, transf: Transformation) -> list[GridField]:
@@ -619,7 +623,6 @@ def refinement_study(
     model: MbsModel,
     grids: Sequence[GridSpec],
     t_end: float,
-    seed: int = 0,
 ) -> list[dict]:
     """Successive sup-norm differences at matching nodes and the empirical
     order log2 of their ratios; grids must each refine the previous by 2x."""
@@ -631,19 +634,13 @@ def refinement_study(
             raise ConfigurationError(
                 f"grids are not nested 2x refinements: {a.nodes} -> {b.nodes}"
             )
-    finals = []
-    for g in grids:
-        res = solve(model, g, t_end=t_end, seed=seed)
-        finals.append(res.final())
-    rows = []
-    diffs = []
-    for k in range(len(grids) - 1):
-        coarse = finals[k].values
-        fine = finals[k + 1].values
-        sub = fine[tuple(slice(None, None, 2) for _ in range(grids[k].dim))]
-        diffs.append(float(np.abs(coarse - sub).max()))
-    for k, g in enumerate(grids):
-        row = {
+    finals = [solve(model, g, t_end=t_end).final().values for g in grids]
+    diffs = [
+        float(np.abs(coarse - fine[tuple(slice(None, None, 2) for _ in fine.shape)]).max())
+        for coarse, fine in zip(finals, finals[1:])
+    ]
+    return [
+        {
             "grid": "x".join(str(n) for n in g.nodes),
             "dx": max(g.dx),
             "diff_to_next": diffs[k] if k < len(diffs) else None,
@@ -653,5 +650,5 @@ def refinement_study(
                 else None
             ),
         }
-        rows.append(row)
-    return rows
+        for k, g in enumerate(grids)
+    ]

@@ -196,7 +196,7 @@ class TestSolveCommand:
             res = runner.invoke(
                 main,
                 ["solve", "--model", model, "--grid", str(grid), "--out", str(out),
-                 "--t-end", "0.25", "--seed", "3"],
+                 "--t-end", "0.25"],
             )
             assert res.exit_code == 0
             blobs.append((out / "fields.csv").read_bytes())

@@ -141,7 +141,8 @@ class TestRefineMax:
 
         val = osgood.refine_max(spy, *interval, 1001)
         assert shapes[0] == (1001,)
-        assert all(sh in ((2,), ()) for sh in shapes[1:])
+        # a handful of array calls, not one call per search step
+        assert len(shapes) <= 12
         assert val == pytest.approx(
             self.scalar_refine_max(lambda x: float(fn(x)), *interval, 1001), rel=0.0, abs=1e-15)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from visc import mbs, solver
-from visc.errors import ConfigurationError, PreconditionError
+from visc.errors import BlowUpError, ConfigurationError, PreconditionError
 
 
 def constants_model(**kw):
@@ -420,56 +420,7 @@ def affine_sq_transformation(m):
 
 
 class TestSharedStencil:
-    """The two problems share one stencil; their theta samplers are batched
-    forms of the per-sample loops below, which draw in the same order."""
-
-    @staticmethod
-    def pricing_loop(problem, rng, n):
-        m = problem.model
-        sig = m.sigma.value(0.0)
-        pair = mbs.barrier_pair(m)
-        P = problem.grad_bound()
-        us = rng.uniform(problem.den_floor, pair.M0 + pair.m0, n)
-        ps = rng.uniform(-P, P, (n, problem.grid.dim))
-        out = np.empty((n, problem.grid.dim))
-        for i in range(n):
-            sp = sig.T @ ps[i]
-            out[i] = np.abs(2.0 * m.rho * (sig @ sp) / us[i])
-        return out
-
-    @staticmethod
-    def straightened_loop(problem, rng, n):
-        m = problem.model
-        sig = m.sigma.value(0.0)
-        P = problem.grad_bound()
-        lo = np.array([b[0] for b in problem.grid.box])
-        hi = np.array([b[1] for b in problem.grid.box])
-        xs = rng.uniform(lo, hi, (n, problem.grid.dim))
-        ts = rng.uniform(0.0, m.T, n)
-        vs = rng.uniform(problem.v_lo, problem.v_hi, n)
-        ps = rng.uniform(-P, P, (n, problem.grid.dim))
-        u, ip, ipp = problem._gauge_at(vs)
-        out = np.empty((n, problem.grid.dim))
-        for i in range(n):
-            sp = sig.T @ ps[i]
-            dh = sig.T @ m.h.grad(xs[i], ts[i])
-            quad_grad = 2.0 * m.rho * ip[i] * (sig @ (ip[i] * sp - dh)) / (u[i] * ip[i])
-            curv_grad = (ipp[i] / ip[i]) * (sig @ sp)
-            out[i] = np.abs(quad_grad) + np.abs(curv_grad)
-        return out
-
-    def test_pricing_samples_match_loop(self):
-        problem = solver.PricingProblem(mbs.default_model(), small_grid(n=201))
-        batched = problem.dH_dp_samples(np.random.default_rng(5), 2000)
-        looped = self.pricing_loop(problem, np.random.default_rng(5), 2000)
-        assert np.array_equal(batched, looped)
-
-    def test_straightened_samples_match_loop(self):
-        m = mbs.default_model()
-        problem = solver.StraightenedProblem(m, affine_sq_transformation(m), small_grid(n=41))
-        batched = problem.dH_dp_samples(np.random.default_rng(5), 2000)
-        looped = self.straightened_loop(problem, np.random.default_rng(5), 2000)
-        assert np.array_equal(batched, looped)
+    """The two problems share one stencil and differ in their reaction."""
 
     def test_unit_gauge_reduces_to_pricing_stencil(self):
         # rho = 0, h = 0, constant xi and z = 1 with Psi(0) = 0: v = U + xi,
@@ -500,3 +451,112 @@ class TestSharedStencil:
         rhs_v = solver.StraightenedProblem(m, transf, grid).rhs(v, 0.4, theta)
         rhs_u = solver.PricingProblem(m, grid).rhs(v - xi, 0.4, theta)
         assert np.max(np.abs(rhs_v - rhs_u)) <= 1e-13
+
+
+def model_2d():
+    """The desk model on two factors, diffusion on both axes."""
+    cfg = mbs.default_model().to_dict()
+    cfg.update({
+        "N": 2, "d": 2,
+        "sigma": {"form": "constant", "params": {"matrix": [[0.4, 0.0], [0.0, 0.3]]}},
+        "mu": {"form": "sinusoid", "params": {
+            "amplitude": [0.05, 0.05], "wavevector": [[1.0, 0.0], [0.0, 1.0]]}},
+        "h": {"form": "gaussian-bump", "params": {
+            "amplitude": 0.5, "center": [0.0, 0.0], "width": 1.0}},
+        "U0": {"form": "gaussian-bump", "params": {
+            "amplitude": 0.25, "center": [0.0, 0.0], "width": 1.5}},
+    })
+    return mbs.model_from_dict(cfg)
+
+
+def steep_model():
+    """Small xi and a narrow U0: 2 rho |p| dx / den > 1 on a coarse grid."""
+    cfg = mbs.default_model().to_dict()
+    cfg.update({
+        "rho": 1.0,
+        "xi": {"form": "constant", "params": {"value": 0.1}},
+        "h": {"form": "gaussian-bump", "params": {
+            "amplitude": 0.1, "center": [0.0], "width": 1.0}},
+        "U0": {"form": "gaussian-bump", "params": {
+            "amplitude": 0.4, "center": [0.0], "width": 0.4}},
+    })
+    return mbs.model_from_dict(cfg)
+
+
+class TestMonotoneCertificate:
+    def test_desk_runs_certify_zero_theta(self, desk_run):
+        m = mbs.default_model()
+        box = ((-4.0, 4.0),)
+        runs = [
+            desk_run.result,
+            solver.solve(m, solver.GridSpec(box=box, nodes=(1601,)), t_end=0.5),
+            solver.solve(model_2d(), solver.GridSpec(box=box * 2, nodes=(101, 101)),
+                         t_end=0.5),
+            solver.solve_transformed(m, affine_sq_transformation(m),
+                                     solver.GridSpec(box=box, nodes=(401,)), t_end=0.5),
+        ]
+        for res in runs:
+            assert all(th == 0.0 for th in res.cfg.theta), res.cfg
+            assert res.flags["monotone_margin"] >= 0.0, res.flags
+
+    def test_coarse_steep_grid_needs_theta(self):
+        m = steep_model()
+        grid = solver.GridSpec(box=((-4.0, 4.0),), nodes=(17,))
+        auto = solver.solve(m, grid, t_end=0.9)
+        assert auto.cfg.theta[0] > 0.0
+        assert auto.flags["monotone_margin"] >= 0.0
+        problem = solver.PricingProblem(m, grid)
+        fixed = solver.SchemeConfig(theta=(0.0,), dt=solver.stable_dt(problem, (0.0,)))
+        res = solver.solve(m, grid, cfg=fixed, t_end=0.9)
+        assert res.flags["monotone_margin"] < 0.0
+
+    def test_degenerate_axis_has_no_slope(self):
+        # criterion 2's two-factor model: noise in the first coordinate only
+        m = mbs.model_from_dict({
+            **mbs.default_model().to_dict(), "N": 2, "d": 1,
+            "sigma": {"form": "constant", "params": {"matrix": [[0.4], [0.0]]}},
+            "mu": {"form": "zero", "params": {}},
+            "h": {"form": "gaussian-bump", "params": {
+                "amplitude": 0.5, "center": [0.0, 0.0], "width": 1.2}},
+            "U0": {"form": "gaussian-bump", "params": {
+                "amplitude": 0.3, "center": [0.0, 0.0], "width": 1.2}},
+        })
+        grid = solver.GridSpec(box=((-4.0, 4.0),) * 2, nodes=(33, 33))
+        res = solver.solve(m, grid, t_end=0.3)
+        assert res.cfg.theta[1] == 0.0
+        assert res.flags["dH_dp_max"][0] > 0.0
+        assert res.flags["dH_dp_max"][1] == 0.0
+        assert res.flags["monotone_margin"] >= 0.0
+
+    @pytest.mark.parametrize("nodes", [(161, 41), (41, 161)])
+    def test_anisotropic_grids_solve(self, nodes):
+        # one CFL bound: the auto dt is exactly stable_dt on any grid
+        grid = solver.GridSpec(box=((-4.0, 4.0),) * 2, nodes=nodes)
+        res = solver.solve(model_2d(), grid, t_end=0.1)
+        problem = solver.PricingProblem(model_2d(), grid)
+        assert res.cfg.dt == solver.stable_dt(problem, res.cfg.theta)
+        assert res.flags["monotone_margin"] >= 0.0
+        assert all(f.meta["sandwich_ok"] for f in res.fields)
+
+
+class TestBlowUp:
+    @pytest.mark.parametrize("record_every", [1, 100])
+    def test_nan_is_named_with_its_step(self, monkeypatch, record_every):
+        calls = []
+        reaction = solver.PricingProblem._reaction
+
+        def poisoned(self, U, grad, t):
+            calls.append(t)
+            out = reaction(self, U, grad, t)
+            return out * np.nan if len(calls) >= 3 else out
+
+        monkeypatch.setattr(solver.PricingProblem, "_reaction", poisoned)
+        m = mbs.default_model()
+        dt = 0.05
+        cfg = solver.SchemeConfig(theta=(0.0,), dt=dt, record_every=record_every)
+        with pytest.raises(BlowUpError) as info:
+            solver.solve(m, small_grid(n=41), cfg=cfg, t_end=10 * dt)
+        # the first recorded step at or after the third
+        expected = 3 if record_every == 1 else 10
+        assert info.value.step == expected
+        assert info.value.t == pytest.approx(expected * dt, rel=1e-12)
