@@ -35,9 +35,11 @@ class QuadratureError(ViscError, ArithmeticError):
 
 class BlowUpError(ViscError, ArithmeticError):
     """A march produced non-finite values; step is the index of the first
-    recorded step found with them, t its time."""
+    recorded step found with them, t its time and node the grid index of
+    the first non-finite value in that field."""
 
-    def __init__(self, step: int, t: float):
-        super().__init__(f"non-finite field values at step {step} (t = {t!r})")
+    def __init__(self, step: int, t: float, node: tuple[int, ...]):
+        super().__init__(f"non-finite field values at step {step} (t = {t!r}), node {node}")
         self.step = step
         self.t = t
+        self.node = node

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
 
@@ -25,6 +24,9 @@ INV_E = 1.0 / math.e
 
 # Gauss-Legendre rule on [-1, 1] behind gl_panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+# divergence_score halves its panels at most this often
+_MAX_HALVINGS = 10
 
 OSGOOD_CLAIMED = "osgood-claimed"
 NON_OSGOOD_CLAIMED = "non-osgood-claimed"
@@ -171,7 +173,12 @@ def sup_formula(h: float, interval: tuple[float, float], n_grid: int = 1000) -> 
 def divergence_score(
     gamma: OsgoodFunction, eps_sequence: Sequence[float]
 ) -> list[float]:
-    """Integral of 1/Gamma over [eps, l] for each eps, by adaptive quadrature.
+    """Integral of 1/Gamma over [eps, l] for each eps, by gl_panel panels.
+
+    The integrand is r / Gamma(r) in s = log r, which flattens the boundary
+    layer at the small endpoint.  The segments between eps, the kinks and l
+    start from panels of width at most 1 in s, which are halved until two
+    successive sums agree to 1e-11 (relative once the sum exceeds 1).
 
     For an Osgood function the scores grow without bound as eps shrinks; for
     a convergent integral they flatten.  Raw scores only; classification is a
@@ -188,28 +195,32 @@ def divergence_score(
                 f"{gamma.name}(r) = 0 at r = {eps!r} > 0; 1/Gamma is singular there"
             )
 
-        # integrate in s = log r: the substitution flattens the boundary
-        # layer at the small endpoint that defeats adaptive panels directly
-        def integrand(s: float) -> float:
-            r = math.exp(s)
-            g = gamma.fn(r)
-            if g <= 0.0:
+        def integrand(s: np.ndarray) -> np.ndarray:
+            r = np.exp(s)
+            g = np.vectorize(gamma.fn, otypes=[float])(r)
+            if np.any(g <= 0.0):
                 raise QuadratureError(
-                    f"{gamma.name}(r) = 0 at r = {r!r} inside ({eps!r}, {gamma.l!r})"
+                    f"{gamma.name}(r) = 0 at r = {float(r[g <= 0.0][0])!r} "
+                    f"inside ({eps!r}, {gamma.l!r})"
                 )
             return r / g
 
-        pts = [math.log(k) for k in gamma.kinks if eps < k < gamma.l]
-        val, _ = quad(
-            integrand,
-            math.log(eps),
-            math.log(gamma.l),
-            points=pts or None,
-            limit=200,
-            epsabs=1e-11,
-            epsrel=1e-11,
-        )
-        scores.append(float(val))
+        breaks = np.log([eps, *sorted(k for k in gamma.kinks if eps < k < gamma.l), gamma.l])
+        edges = np.concatenate([np.linspace(a, b, max(math.ceil(b - a), 1), endpoint=False)
+                                for a, b in zip(breaks, breaks[1:])] + [breaks[-1:]])
+        prev = math.nan
+        for _ in range(_MAX_HALVINGS + 1):
+            val = float(np.sum(gl_panel(integrand, edges[:-1], edges[1:])))
+            if abs(val - prev) <= 1e-11 * max(1.0, abs(val)):
+                break
+            prev = val
+            edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
+        else:
+            raise QuadratureError(
+                f"{gamma.name}: 1/Gamma on ({eps!r}, {gamma.l!r}) does not converge in "
+                f"{_MAX_HALVINGS} halvings; is a kink or a zero of Gamma undeclared?"
+            )
+        scores.append(val)
     return scores
 
 

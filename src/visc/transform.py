@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, DomainError, RangeError
 from .osgood import gl_panel
 
-_TABLE_SIZE = 512
+_TABLE_NODES = 4097
 # from linear interpolation in a table bracket, Newton's quadratic
 # convergence reaches double precision in two steps; a third is margin
 _NEWTON_STEPS = 3
@@ -58,13 +57,15 @@ class GaugeFunction:
 class Transformation:
     """Psi, its inverse and the derivative identities, for one gauge.
 
-    Psi is tabulated on 512 nodes by a fixed Gauss-Legendre rule per table
-    panel; between nodes it is the table value plus the same rule on the
-    remaining sub-panel.  The inverse starts from linear interpolation in the
-    table bracket and takes Newton steps with the exact derivative
-    Psi' = 1/sqrt(z), each kept inside the bracket.  Psi and its inverse take
-    a float or an array and return the same shape.  Immutable after
-    construction.
+    One table on 4097 equally spaced nodes u_k holds Psi(u_k), accumulated by
+    a fixed Gauss-Legendre rule per table panel, and the exact slopes
+    I'(Psi(u_k)) = sqrt(z(u_k)).  Between nodes Psi is the table value plus
+    the same rule on the remaining sub-panel.  The inverse starts from
+    linear interpolation in the table bracket and takes Newton steps with the
+    exact derivative Psi' = 1/sqrt(z), each kept inside the bracket; the
+    grid-sweep interpolant is the cubic Hermite interpolant of I through the
+    table with the exact slopes.  Psi and its inverse take a float or an
+    array and return the same shape.  Immutable after construction.
     """
 
     gauge: GaugeFunction
@@ -72,6 +73,8 @@ class Transformation:
     base_point: float = field(init=False)
     _u_table: np.ndarray = field(init=False, repr=False)
     _psi_table: np.ndarray = field(init=False, repr=False)
+    # per-panel Hermite coefficients of I in powers of v - Psi(u_k), shape (4, 4096)
+    _hermite: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b = self.gauge.domain
@@ -84,7 +87,7 @@ class Transformation:
                 f"base point {base!r} outside transformation domain ({lo!r}, {hi!r})"
             )
         self.base_point = base
-        us = np.linspace(lo, hi, _TABLE_SIZE)
+        us = np.linspace(lo, hi, _TABLE_NODES)
         zs = self.gauge.z(us)
         if np.any(zs <= 0.0):
             bad = us[int(np.argmin(zs))]
@@ -93,11 +96,14 @@ class Transformation:
                 "gauges must stay bounded away from zero on the domain"
             )
         # accumulate panel integrals, then shift so Psi(base_point) = 0
-        psis = np.concatenate(([0.0], np.cumsum(self._panel(us[:-1], us[1:]))))
-        k = min(max(int(np.searchsorted(us, base)) - 1, 0), len(us) - 1)
-        offset = psis[k] + self._panel(us[k], base)
         self._u_table = us
-        self._psi_table = psis - offset
+        self._psi_table = np.concatenate(([0.0], np.cumsum(self._panel(us[:-1], us[1:]))))
+        self._psi_table -= self.psi(base)
+        slopes, h = np.sqrt(zs), np.diff(self._psi_table)
+        secant = np.diff(us) / h
+        c2 = (3.0 * secant - 2.0 * slopes[:-1] - slopes[1:]) / h
+        c3 = (slopes[:-1] + slopes[1:] - 2.0 * secant) / (h * h)
+        self._hermite = np.stack((us[:-1], slopes[:-1], c2, c3))
 
     def _panel(self, a, b):
         """Integral of 1/sqrt(z) from a to b, elementwise, by one Gauss-Legendre rule."""
@@ -123,7 +129,7 @@ class Transformation:
             raise DomainError(
                 f"u = {u!r} outside transformation domain [{lo!r}, {hi!r}]"
             )
-        k = np.clip(np.searchsorted(self._u_table, uu) - 1, 0, _TABLE_SIZE - 2)
+        k = np.clip(np.searchsorted(self._u_table, uu) - 1, 0, _TABLE_NODES - 2)
         return _like(u, self._psi_at(k, uu))
 
     def psi_inverse(self, v):
@@ -133,7 +139,7 @@ class Transformation:
         if not np.all((vlo - 1e-12 <= vv) & (vv <= vhi + 1e-12)):
             raise RangeError(f"v = {v!r} outside Psi range [{vlo!r}, {vhi!r}]")
         vv = np.clip(vv, vlo, vhi)
-        k = np.clip(np.searchsorted(self._psi_table, vv) - 1, 0, _TABLE_SIZE - 2)
+        k = self._bracket(vv)
         a, b = self._u_table[k], self._u_table[k + 1]
         fa, fb = self._psi_table[k], self._psi_table[k + 1]
         u = a + (vv - fa) / (fb - fa) * (b - a)
@@ -146,24 +152,28 @@ class Transformation:
         u = self.psi_inverse(v)
         return _like(v, np.sqrt(self.gauge.z(u))), _like(v, 0.5 * self.gauge.z_prime(u))
 
-    def inverse_interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized cubic-spline approximation of I, for grid sweeps.
+    def _bracket(self, v):
+        """Index k of the table panel [Psi(u_k), Psi(u_k+1)] holding v."""
+        return np.clip(np.searchsorted(self._psi_table, v) - 1, 0, _TABLE_NODES - 2)
 
-        Built on Psi at 4097 nodes; interpolation error is far below the
-        solver tolerances it serves.  psi_inverse remains the reference
-        implementation.
+    def inverse_interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Vectorized cubic Hermite approximation of I, for grid sweeps.
+
+        Interpolates the table values u_k at Psi(u_k) with the exact slopes
+        sqrt(z(u_k)); its error is far below the solver tolerances it
+        serves.  psi_inverse remains the reference implementation.
         """
-        if not hasattr(self, "_inv_spline"):
-            fine_u = np.linspace(*self.u_range, 4097)
-            self._inv_spline = CubicSpline(self.psi(fine_u), fine_u)
-        spline = self._inv_spline
         vlo, vhi = self.v_range
 
         def inv(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v, dtype=float)
             if np.any(v < vlo - 1e-9) or np.any(v > vhi + 1e-9):
                 raise RangeError("interpolated inverse queried outside Psi range")
-            return spline(np.clip(v, vlo, vhi))
+            v = np.clip(v, vlo, vhi)
+            k = self._bracket(v)
+            c0, c1, c2, c3 = self._hermite[:, k]
+            d = v - self._psi_table[k]
+            return c0 + d * (c1 + d * (c2 + d * c3))
 
         return inv
 

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from visc import jsonio, mbs
+import visc
+from visc import jsonio, mbs, solver
 from visc.cli import main
 
 
@@ -186,6 +191,22 @@ class TestSolveCommand:
         assert res.exit_code == 1
         assert "stability" in res.output
 
+    def test_blow_up_exits_two(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver.PricingProblem, "_reaction",
+                            lambda self, U, grad, t: U * np.nan)
+        model = write_model(tmp_path / "m.json", constant_h_model())
+        grid = tmp_path / "g.json"
+        grid.write_text(json.dumps({"box": [[-3.0, 3.0]], "nodes": [33]}))
+        res = runner.invoke(
+            main,
+            ["solve", "--model", model, "--grid", str(grid), "--out", str(tmp_path / "out"),
+             "--t-end", "0.25"],
+        )
+        assert res.exit_code == 2
+        assert "numerical failure" in res.stderr
+        assert "node" in res.stderr
+        assert "configuration error" not in res.stderr
+
     def test_deterministic_output_bytes(self, runner, tmp_path):
         model = write_model(tmp_path / "m.json", constant_h_model())
         grid = tmp_path / "g.json"
@@ -321,6 +342,19 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         on_disk = {p.name for p in out.iterdir()}
         assert on_disk == set(manifest["files"]) | {"manifest.json"}
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy is a test-only dependency: the runtime must not import it
+        env = dict(os.environ)
+        src = str(Path(visc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", "import visc.cli, sys; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestJsonio:

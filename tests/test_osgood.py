@@ -198,6 +198,40 @@ class TestDivergenceScore:
         with pytest.raises(QuadratureError):
             osgood.divergence_score(flat, [0.01])
 
+    @pytest.mark.parametrize(
+        "gamma",
+        [
+            osgood.xlog(),
+            osgood.scaled(osgood.xlog(), 3.0),
+            osgood.power(0.3),
+            osgood.linear(2.0, l=0.5),
+        ],
+        ids=lambda g: g.name,
+    )
+    def test_matches_quad(self, gamma):
+        from scipy.integrate import quad
+
+        eps = [e for e in (10.0**-k for k in range(1, 13)) if e < gamma.l]
+        scores = osgood.divergence_score(gamma, eps)
+        for e, score in zip(eps, scores):
+            pts = [math.log(k) for k in gamma.kinks if e < k < gamma.l]
+            oracle, _ = quad(
+                lambda s: math.exp(s) / gamma.fn(math.exp(s)),
+                math.log(e), math.log(gamma.l),
+                points=pts or None, limit=200, epsabs=1e-13, epsrel=1e-13,
+            )
+            assert abs(score - oracle) <= 1e-12 * abs(oracle)
+
+    def test_zero_inside_the_range_raises(self):
+        # Gamma(eps) > 0, but Gamma vanishes on [0.2, 0.5]: panel nodes land there
+        gap = osgood.OsgoodFunction("gap", 1.0, lambda h: 0.0 if 0.2 <= h <= 0.5 else h)
+        with pytest.raises(QuadratureError, match=r"at r = 0\.[234]"):
+            osgood.divergence_score(gap, [0.01])
+        # an isolated zero no node hits: the panel sums do not settle
+        dip = osgood.OsgoodFunction("dip", 1.0, lambda h: (h - 0.5) ** 2)
+        with pytest.raises(QuadratureError, match="does not converge"):
+            osgood.divergence_score(dip, [0.01])
+
 
 class TestOdeFlow:
     def test_zero_start_stays_zero_exactly(self):

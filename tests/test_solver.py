@@ -548,7 +548,9 @@ class TestBlowUp:
         def poisoned(self, U, grad, t):
             calls.append(t)
             out = reaction(self, U, grad, t)
-            return out * np.nan if len(calls) >= 3 else out
+            if len(calls) >= 3:
+                out[19] = np.nan  # interior index 19 is grid node 20
+            return out
 
         monkeypatch.setattr(solver.PricingProblem, "_reaction", poisoned)
         m = mbs.default_model()
@@ -560,3 +562,5 @@ class TestBlowUp:
         expected = 3 if record_every == 1 else 10
         assert info.value.step == expected
         assert info.value.t == pytest.approx(expected * dt, rel=1e-12)
+        # the three-point stencil spreads the NaN one node per step after step 3
+        assert info.value.node == (20 - (expected - 3),)

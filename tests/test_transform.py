@@ -183,8 +183,11 @@ class TestGaugeCatalog:
 
 
 class TestInterpolant:
-    def test_matches_pointwise_inverse(self):
-        T = shift_sq_transformation()
+    @pytest.mark.parametrize(
+        "ident", ["unit", "shift-sq", "affine-sq:2,1", "exp", "mbs-exp:1,2", "arctan:1.5"]
+    )
+    def test_matches_pointwise_inverse(self, ident):
+        T = transform.Transformation(transform.gauge_from_identifier(ident, (1.0, 2.0)), 0.2)
         inv = T.inverse_interpolant()
         vs = np.linspace(*T.v_range, 257)
         exact = np.array([T.psi_inverse(float(v)) for v in vs])
