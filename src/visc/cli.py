@@ -9,14 +9,16 @@ configuration error, 2 scientific check failure or numerical blow-up.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import jsonio, mbs, osgood, solver
-from .errors import BlowUpError, ViscError
+from .errors import BlowUpError, ConfigurationError, ModelError, ViscError
 from .hamiltonian import (
     check_degenerate_ellipticity,
     check_gradient_modulus,
@@ -56,45 +58,60 @@ class Artifacts:
         (self.dir / "manifest.json").write_text(jsonio.dumps(manifest))
 
 
+@contextmanager
+def _parsing(what: str):
+    """Turn a malformed outside input (a missing field, a value of the wrong
+    type, text that is not JSON) into a ConfigurationError naming it."""
+    try:
+        yield
+    except ViscError:
+        raise
+    except KeyError as exc:
+        raise ConfigurationError(f"{what}: missing field {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what}: not valid JSON ({exc})") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what}: {exc}") from exc
+
+
+def _load_model(path: str) -> mbs.MbsModel:
+    with _parsing(f"model file {path}"):
+        return mbs.load_model(path)
+
+
 def _load_grid(path: str) -> solver.GridSpec:
-    import json
-
-    with open(path) as fh:
+    with _parsing(f"grid file {path}"), open(path) as fh:
         cfg = json.load(fh)
-    for key in ("box", "nodes"):
-        if key not in cfg:
-            raise ViscError(f"grid config missing required field {key!r}")
-    return solver.GridSpec(
-        box=tuple(tuple(float(v) for v in b) for b in cfg["box"]),
-        nodes=tuple(int(n) for n in cfg["nodes"]),
-        cfl_safety=float(cfg.get("cfl_safety", 0.9)),
-        padding=int(cfg.get("padding", 2)),
-    )
+        for key in cfg:
+            if key not in ("box", "nodes", "padding"):
+                raise ConfigurationError(f"grid file {path}: unknown field {key!r}")
+        return solver.GridSpec(
+            box=tuple(tuple(float(v) for v in b) for b in cfg["box"]),
+            nodes=tuple(int(n) for n in cfg["nodes"]),
+            padding=int(cfg.get("padding", 2)),
+        )
 
 
-def _load_scheme(path: str | None, problem) -> solver.SchemeConfig | None:
-    if path is None:
-        return None
-    import json
-
-    with open(path) as fh:
+def _load_scheme(path: str, problem) -> solver.SchemeConfig:
+    with _parsing(f"scheme file {path}"), open(path) as fh:
         cfg = json.load(fh)
-    theta = cfg.get("theta", "auto")
+        theta, dt = cfg.get("theta", "auto"), cfg.get("dt", "auto")
+        if theta != "auto":
+            theta = tuple(float(v) for v in theta)
+        if dt != "auto":
+            dt = float(dt)
+        record_every = int(cfg.get("record_every", 100))
     if theta == "auto":
         theta = solver.estimate_theta(problem)
-    else:
-        theta = tuple(float(v) for v in theta)
-    dt = cfg.get("dt", "auto")
     if dt == "auto":
         dt = solver.stable_dt(problem, theta)
-    return solver.SchemeConfig(
-        theta=tuple(theta), dt=float(dt), record_every=int(cfg.get("record_every", 100))
-    )
+    return solver.SchemeConfig(theta=tuple(theta), dt=float(dt), record_every=record_every)
 
 
 def _guard(fn):
     """Map a numerical blow-up to exit code 2 and other package errors to
-    exit code 1 with the offending field named."""
+    exit code 1 with the offending field named; anything else is a bug and
+    surfaces as a traceback."""
     import functools
 
     @functools.wraps(fn)
@@ -106,9 +123,6 @@ def _guard(fn):
             sys.exit(EXIT_CHECK)
         except ViscError as exc:
             click.echo(f"configuration error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except (KeyError, ValueError) as exc:
-            click.echo(f"configuration error: invalid field {exc}", err=True)
             sys.exit(EXIT_CONFIG)
 
     return wrapped
@@ -130,15 +144,16 @@ def main():
 def cmd_solve(model_path, grid_path, scheme_path, out_dir, t_end):
     """March the pricing equation and write field snapshots and the
     barrier-sandwich report."""
-    model = mbs.load_model(model_path)
+    model = _load_model(model_path)
     grid = _load_grid(grid_path)
-    problem = solver.PricingProblem(model, grid)
-    cfg = _load_scheme(scheme_path, problem)
+    cfg = None
+    if scheme_path is not None:
+        cfg = _load_scheme(scheme_path, solver.PricingProblem(model, grid))
+    result = solver.solve(model, grid, cfg=cfg, t_end=t_end)
     config = {
         "command": "solve", "model": model.to_dict(), "grid": grid_path, "t_end": t_end,
     }
     art = Artifacts(out_dir, config)
-    result = solver.solve(model, grid, cfg=cfg, t_end=t_end)
     pts = grid.points().reshape(-1, grid.dim)
     rows = []
     for f in result.fields:
@@ -170,9 +185,7 @@ def cmd_solve(model_path, grid_path, scheme_path, out_dir, t_end):
 @_guard
 def cmd_check_conditions(model_path, samples, seed, R, out_dir):
     """Run every sampled structural check against one model."""
-    from .errors import ModelError
-
-    model = mbs.load_model(model_path)
+    model = _load_model(model_path)
     reports = [
         mbs.validate_model(model, samples, seed),
         mbs.barrier_residuals(model, samples, seed),
@@ -216,7 +229,7 @@ def cmd_check_conditions(model_path, samples, seed, R, out_dir):
 @_guard
 def cmd_barriers(model_path, points, out_dir):
     """Tabulate the lower/upper barriers on a time grid."""
-    model = mbs.load_model(model_path)
+    model = _load_model(model_path)
     pair = mbs.barrier_pair(model)
     config = {"command": "barriers", "model": model.to_dict(), "points": points}
     art = Artifacts(out_dir, config)
@@ -240,7 +253,8 @@ def cmd_barriers(model_path, points, out_dir):
 @_guard
 def cmd_osgood_demo(gamma_id, f0, dt, t_flow, out_dir):
     """Euler flow of f' = Gamma(f) plus divergence scores of 1/Gamma."""
-    gamma = osgood.from_identifier(gamma_id)
+    with _parsing(f"--gamma {gamma_id!r}"):
+        gamma = osgood.from_identifier(gamma_id)
     config = {"command": "osgood-demo", "gamma": gamma_id, "f0": f0, "dt": dt,
               "T": t_flow}
     art = Artifacts(out_dir, config)
@@ -272,7 +286,7 @@ def cmd_osgood_demo(gamma_id, f0, dt, t_flow, out_dir):
 @_guard
 def cmd_convergence(model_path, grid_paths, t_end, out_dir):
     """Refinement study: successive differences and empirical orders."""
-    model = mbs.load_model(model_path)
+    model = _load_model(model_path)
     grids = [_load_grid(p) for p in grid_paths.split(",")]
     config = {"command": "convergence", "model": model.to_dict(),
               "grids": grid_paths, "t_end": t_end}
@@ -306,8 +320,9 @@ def cmd_oracle_compare(model_path, point_str, t_probe, paths, steps, grid_path,
                        out_dir, seed):
     """Solve the linear (rho = 0) model and compare the grid value at a probe
     point against the probabilistic oracle; passes within 3 standard errors."""
-    model = mbs.load_model(model_path)
-    x = np.array([float(s) for s in point_str.split(",")])
+    model = _load_model(model_path)
+    with _parsing(f"--point {point_str!r}"):
+        x = np.array([float(s) for s in point_str.split(",")])
     if grid_path is not None:
         grid = _load_grid(grid_path)
     else:
@@ -348,11 +363,12 @@ def cmd_oracle_compare(model_path, point_str, t_probe, paths, steps, grid_path,
 @_guard
 def cmd_transform_roundtrip(gauge_id, domain_str, margin, samples, out_dir, seed):
     """Check Psi / inverse round trips and the derivative identity."""
-    domain = None
-    if domain_str is not None:
-        a, b = (float(s) for s in domain_str.split(","))
-        domain = (a, b)
-    gauge = gauge_from_identifier(gauge_id, domain)
+    with _parsing(f"--gauge {gauge_id!r} --domain {domain_str!r}"):
+        domain = None
+        if domain_str is not None:
+            a, b = (float(s) for s in domain_str.split(","))
+            domain = (a, b)
+        gauge = gauge_from_identifier(gauge_id, domain)
     transf = Transformation(gauge, margin)
     rng = np.random.default_rng(seed)
     lo, hi = transf.u_range

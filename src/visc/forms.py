@@ -48,9 +48,6 @@ class TimeForm:
         t = np.asarray(t, dtype=float)
         return self.intercept * t + 0.5 * self.slope * t * t
 
-    def min_on(self, T: float) -> float:
-        return float(min(self(0.0), self(T)))
-
     def max_on(self, T: float) -> float:
         return float(max(self(0.0), self(T)))
 
@@ -271,11 +268,8 @@ class FieldForm:
             "inf": min(cands),
             "grad_sup": hi * self.profile.grad_sup,
             "lip_grad": hi * self.profile.lip_grad,
-            "lip": hi * self.profile.grad_sup,
             "dt_sup": abs(self.time_slope) * max(abs(self.profile.sup), abs(self.profile.inf)),
             "lip_dt": abs(self.time_slope) * self.profile.grad_sup,
-            "dt_modulus_rate": abs(self.time_slope)
-            * max(abs(self.profile.sup), abs(self.profile.inf)),
         }
 
     def to_dict(self) -> dict:
@@ -330,9 +324,6 @@ class VectorForm:
     def value(self, x, t=0.0):
         x = _as_points(x, self.dim)
         return self.fn(x)
-
-    def is_zero(self) -> bool:
-        return self.name == "zero"
 
     def to_dict(self) -> dict:
         return {"form": self.name, "params": dict(self.params)}

@@ -41,6 +41,9 @@ from .transform import GaugeFunction, Transformation
 PASS_TOL = 1e-9
 # candidates per row of the cp6 rejection sampler before it falls back to zero
 _CP6_TRIES = 200
+_MODULUS_BINS = 24
+# relative size below which a difference of two F values is rounding noise
+_DIFF_NOISE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +364,7 @@ def check_degenerate_ellipticity(
 
 
 def check_gradient_modulus(
-    H: HamiltonianSpec, R: float, n_samples: int, seed: int, n_bins: int = 24
+    H: HamiltonianSpec, R: float, n_samples: int, seed: int
 ) -> CheckReport:
     """Bin |F(.., p, X) - F(.., q, X)| by |p - q| and fit a dominating modulus.
 
@@ -369,7 +372,9 @@ def check_gradient_modulus(
     sublinear, in which case a power family is reported.  max_violation is
     the worst excess of a sampled difference over the fitted modulus, so a
     finite fit always passes; the informative outputs are the coefficient,
-    the exponent and the envelope-decay flag in details.
+    the exponent and the envelope-decay flag in details.  A difference no
+    larger than _DIFF_NOISE (1 + max(|F(.., p, X)|, |F(.., q, X)|)) counts
+    as zero, so an F that does not depend on p fits the zero modulus.
     """
     if R <= 0.0:
         raise PreconditionError("R must be positive")
@@ -379,17 +384,19 @@ def check_gradient_modulus(
     X = _clip_syms(_sym(rng.normal(0.0, R, (n, N, N))), R)
     p = _clip_vecs(rng.normal(0.0, R / 2.0, (n, N)), R)
     q = _clip_vecs(rng.normal(0.0, R / 2.0, (n, N)), R)
-    diffs = np.abs(_evaluate(H, x, t, u, p, X) - _evaluate(H, x, t, u, q, X))
+    fp, fq = _evaluate(H, x, t, u, p, X), _evaluate(H, x, t, u, q, X)
+    diffs = np.abs(fp - fq)
+    diffs[diffs <= _DIFF_NOISE * (1.0 + np.maximum(np.abs(fp), np.abs(fq)))] = 0.0
     dists = np.linalg.norm(p - q, axis=-1)
 
     mask = dists > 0.0
     if not np.any(mask) or diffs.max() == 0.0:
         fitted = ModulusFamily("linear", 0.0)
     else:
-        edges = np.linspace(0.0, dists.max(), n_bins + 1)
-        idx = np.clip(np.digitize(dists, edges) - 1, 0, n_bins - 1)
-        env = np.full(n_bins, np.nan)
-        for b in range(n_bins):
+        edges = np.linspace(0.0, dists.max(), _MODULUS_BINS + 1)
+        idx = np.clip(np.digitize(dists, edges) - 1, 0, _MODULUS_BINS - 1)
+        env = np.full(_MODULUS_BINS, np.nan)
+        for b in range(_MODULUS_BINS):
             sel = idx == b
             if np.any(sel):
                 env[b] = diffs[sel].max()
@@ -409,7 +416,7 @@ def check_gradient_modulus(
             fitted = ModulusFamily("linear", float(ratios.max()))
         else:
             # exponent from the smallest-quarter bins, where the shape lives
-            quarter = ok & (np.arange(n_bins) <= n_bins // 4)
+            quarter = ok & (np.arange(_MODULUS_BINS) <= _MODULUS_BINS // 4)
             fit_on = quarter if quarter.sum() >= 3 else ok
             slope, _ = np.polyfit(np.log(centers[fit_on]), np.log(env[fit_on]), 1)
             expo = float(min(max(slope, 1e-3), 1.0))

@@ -53,7 +53,6 @@ class MbsModel:
     tau: float
     T: float
     U0: forms.FieldForm
-    bounds_override: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -115,17 +114,12 @@ class MbsModel:
             "lip_grad_h": hb["lip_grad"],
             "lip_dt_h": hb["lip_dt"],
             "dt_h_sup": hb["dt_sup"],
-            "dt_h_modulus_rate": hb["dt_modulus_rate"],
             "lip_hess_trace_h": self._lip_hess_trace_scan(),
             "u0_sup": ub["sup"],
-            "u0_inf": ub["inf"],
-            "u0_lip": ub["lip"],
+            "u0_lip": ub["grad_sup"],
             "sigma_op": self.sigma.op_norm(),
             "sigma_tr": float(np.trace(self.sigma.diffusion())),
             "r_max": r_max,
-            "r_min": self.r.min_on(self.T),
-            "xi_max": xi_max,
-            "xi_min": self.xi.min_on(self.T),
             "xi_prime_sup": self.xi.deriv_sup(self.T),
         }
         # sup and spatial Lipschitz constant of the source g, bounded by parts
@@ -144,7 +138,6 @@ class MbsModel:
             + b["mu_sup"] * b["lip_grad_h"]
             + self.tau * b["grad_h_sup"]
         )
-        b.update(self.bounds_override)
         self._cache["bounds"] = b
         return b
 
@@ -163,7 +156,6 @@ class MbsModel:
             "tau": self.tau,
             "T": self.T,
             "U0": self.U0.to_dict(),
-            "bounds": dict(self.bounds_override),
         }
 
 
@@ -171,6 +163,12 @@ def model_from_dict(cfg: dict) -> MbsModel:
     for key in ("N", "d", "sigma", "mu", "r", "xi", "h", "rho", "tau", "T", "U0"):
         if key not in cfg:
             raise ConfigurationError(f"model config missing required field {key!r}")
+    # older model files carry an empty "bounds"; overrides of the derived
+    # constants are refused rather than ignored
+    if cfg.get("bounds"):
+        raise ConfigurationError(
+            "model field 'bounds' is not supported: the constants are derived from the forms"
+        )
     n = int(cfg["N"])
     d = int(cfg["d"])
     return MbsModel(
@@ -185,7 +183,6 @@ def model_from_dict(cfg: dict) -> MbsModel:
         tau=float(cfg["tau"]),
         T=float(cfg["T"]),
         U0=forms.field_form(cfg["U0"], n),
-        bounds_override=dict(cfg.get("bounds", {})),
     )
 
 
@@ -414,7 +411,7 @@ def validate_model(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
     for name, e in (
         ("P2:rho-positive", 1.0 if m.rho <= 0.0 else -1.0),
         ("P2:tau-positive", 1.0 if m.tau <= 0.0 else -1.0),
-        ("dt-h:linear-envelope", dt_rate - b["dt_h_modulus_rate"] - tol),
+        ("dt-h:linear-envelope", dt_rate - b["dt_h_sup"] - tol),
     ):
         if e > tol:
             failures[name] = e
@@ -589,9 +586,10 @@ def cp6_candidates(m: MbsModel) -> tuple[ModulusFamily, ModulusFamily]:
 
 
 def cp7_candidates(
-    m: MbsModel, R: float, lam1: float | None = None, lam2: float | None = None
+    m: MbsModel, R: float
 ) -> tuple[OsgoodFunction, ModulusFamily, GaugeFunction]:
-    """Gauge z = (lam1 u - lam2)^2 plus moduli for the Osgood check.
+    """Gauge z = (lam1 u - lam2)^2, lam1 = 2/m0 and lam2 = 1, plus moduli for
+    the Osgood check.
 
     Gamma is linear at rate rho ((C2 M0)^2 / (4 lam2) + C2), with C2 the
     explicit constant collected from the term-by-term expansion of the
@@ -611,12 +609,7 @@ def cp7_candidates(
     m0, M0 = pair.m0, pair.M0
     if m0 <= 0.0:
         raise ModelError("need inf(k_lower + h + xi) > 0")
-    if lam1 is None:
-        lam1 = 2.0 / m0
-    if lam2 is None:
-        lam2 = 1.0
-    if not lam1 * m0 > lam2 > 0.0:
-        raise PreconditionError(f"need lam1*m0 > lam2 > 0, got {lam1!r}, {lam2!r}")
+    lam1, lam2 = 2.0 / m0, 1.0
     b = m.bounds()
     lam0 = (lam1 * m0 - lam2) ** 2
     sig = b["sigma_op"]

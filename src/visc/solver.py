@@ -24,8 +24,8 @@ field with a safety factor; runs record the realised max |dH/dp_k| and report
 the smallest margin as the flag monotone_margin.  theta is fixed for a run,
 so the CFL bound is checked once per run.  The boundary ring is refreshed by
 constant extrapolation from the nearest interior node; the equation itself is
-posed on all of R^N, so truncation is ours, and runs report when the reserved
-padding margin is exhausted.
+posed on all of R^N, so truncation is ours, and accuracy is audited away from
+the reserved padding margin (GridSpec.audited_slice).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class GridSpec:
 
     box: tuple[tuple[float, float], ...]
     nodes: tuple[int, ...]
-    cfl_safety: float = 0.9
     padding: int = 2
 
     def __post_init__(self):
@@ -62,8 +61,6 @@ class GridSpec:
             raise ConfigurationError("need at least 8 nodes per dimension")
         if any(hi <= lo for lo, hi in self.box):
             raise ConfigurationError("box intervals must be nonempty")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ConfigurationError("cfl_safety must lie in (0, 1]")
         if self.padding < 1:
             raise ConfigurationError("padding must be at least 1")
 
@@ -297,6 +294,8 @@ class StraightenedProblem(_MonotoneStencil):
 
 
 THETA_SAFETY = 2.0
+# fraction of the CFL bound stable_dt returns; a scheme file's dt can go lower
+CFL_SAFETY = 0.9
 
 
 def estimate_theta(problem) -> tuple[float, ...]:
@@ -323,12 +322,12 @@ def stable_dt(problem, theta: Sequence[float]) -> float:
         problem.diffusion[k] / dx[k] ** 2 + problem.mu_sup / dx[k] + theta[k] / dx[k]
         for k in range(g.dim)
     ) + problem.r_sup
-    return g.cfl_safety / denom if denom > 0.0 else g.cfl_safety
+    return CFL_SAFETY / denom if denom > 0.0 else CFL_SAFETY
 
 
-def auto_config(problem, record_every: int = 100) -> SchemeConfig:
+def auto_config(problem) -> SchemeConfig:
     theta = estimate_theta(problem)
-    return SchemeConfig(theta=theta, dt=stable_dt(problem, theta), record_every=record_every)
+    return SchemeConfig(theta=theta, dt=stable_dt(problem, theta))
 
 
 def _check_cfl(problem, cfg: SchemeConfig):
@@ -373,12 +372,6 @@ class SolveResult:
     fields: list[GridField]
     cfg: SchemeConfig
     flags: dict
-
-    def __iter__(self):
-        return iter(self.fields)
-
-    def __len__(self):
-        return len(self.fields)
 
     def final(self) -> GridField:
         return self.fields[-1]
@@ -440,8 +433,7 @@ def solve(
 
     Every recorded field is annotated with the barrier sandwich check
     k_lower(t) - tol <= U <= k_upper(t) + tol, tol = 2 dx (1 + K0); a
-    violation is flagged, not fatal.  The run also reports when the boundary
-    influence (one node per step) has exceeded the reserved padding margin.
+    violation is flagged, not fatal.
     """
     problem = PricingProblem(model, grid)
     if cfg is None:
@@ -455,9 +447,6 @@ def solve(
     result = _march(problem, start, cfg, t_end)
     for f in result.fields:
         _sandwich_annotate(model, pair, f)
-    n_steps = result.flags["steps"]
-    result.flags["boundary_influence_nodes"] = n_steps
-    result.flags["padding_margin_exhausted"] = n_steps > grid.padding
     return result
 
 
@@ -519,6 +508,9 @@ def discrete_comparison(run_a: Sequence[GridField], run_b: Sequence[GridField]) 
     )
 
 
+_MC_CHUNK = 4096
+
+
 def mc_oracle(
     model: MbsModel,
     x: np.ndarray,
@@ -526,7 +518,6 @@ def mc_oracle(
     n_paths: int,
     n_steps: int,
     seed: int,
-    chunk: int = 4096,
 ) -> tuple[float, float]:
     """Probabilistic value of the linear (rho = 0) equation at one point.
 
@@ -536,8 +527,9 @@ def mc_oracle(
 
         e^{-int_0^t r} U0(X_t) + int_0^t e^{-int_0^s r} (tau - r) h(X_s, .) ds.
 
-    Per-chunk generators are derived from (seed, chunk index), so enlarging
-    n_paths extends the same stream family; reductions run in a fixed order.
+    Paths run in chunks of _MC_CHUNK, each with its generator derived from
+    (seed, chunk index), so enlarging n_paths extends the same stream family;
+    reductions run in a fixed order.
     """
     if model.rho != 0.0:
         raise PreconditionError("the probabilistic oracle requires rho = 0")
@@ -559,7 +551,7 @@ def mc_oracle(
     done = 0
     c = 0
     while done < n_paths:
-        k = min(chunk, n_paths - done)
+        k = min(_MC_CHUNK, n_paths - done)
         rng = np.random.default_rng([seed, c])
         X = np.tile(x, (k, 1))
         acc = np.zeros(k)

@@ -142,6 +142,22 @@ class TestCheckConditionsCommand:
         res = runner.invoke(main, ["check-conditions", "--model", model])
         assert res.exit_code == 1
 
+    def test_missing_form_param_exits_one(self, runner, tmp_path):
+        cfg = constant_h_model()
+        cfg["h"] = {"form": "gaussian-bump", "params": {"amplitude": 0.5}}
+        model = write_model(tmp_path / "m.json", cfg)
+        res = runner.invoke(main, ["check-conditions", "--model", model])
+        assert res.exit_code == 1
+        assert "configuration error" in res.output
+        assert "width" in res.output
+
+    def test_model_not_json_exits_one(self, runner, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text("N: 1")
+        res = runner.invoke(main, ["check-conditions", "--model", str(model)])
+        assert res.exit_code == 1
+        assert "not valid JSON" in res.output
+
 
 class TestSolveCommand:
     def test_writes_fields_and_manifest(self, runner, tmp_path):
@@ -206,6 +222,34 @@ class TestSolveCommand:
         assert "numerical failure" in res.stderr
         assert "node" in res.stderr
         assert "configuration error" not in res.stderr
+
+    def test_unknown_grid_field_exits_one(self, runner, tmp_path):
+        model = write_model(tmp_path / "m.json", constant_h_model())
+        grid = tmp_path / "g.json"
+        grid.write_text(json.dumps({"box": [[-3.0, 3.0]], "nodes": [33], "cfl_safety": 0.5}))
+        res = runner.invoke(
+            main,
+            ["solve", "--model", model, "--grid", str(grid), "--out", str(tmp_path / "out"),
+             "--t-end", "0.25"],
+        )
+        assert res.exit_code == 1
+        assert "cfl_safety" in res.output
+
+    def test_internal_error_is_not_a_config_error(self, runner, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(solver, "solve", broken)
+        model = write_model(tmp_path / "m.json", constant_h_model())
+        grid = tmp_path / "g.json"
+        grid.write_text(json.dumps({"box": [[-3.0, 3.0]], "nodes": [33]}))
+        res = runner.invoke(
+            main,
+            ["solve", "--model", model, "--grid", str(grid), "--out", str(tmp_path / "out"),
+             "--t-end", "0.25"],
+        )
+        assert isinstance(res.exception, KeyError)
+        assert "configuration error" not in res.output
 
     def test_deterministic_output_bytes(self, runner, tmp_path):
         model = write_model(tmp_path / "m.json", constant_h_model())

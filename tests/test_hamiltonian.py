@@ -254,6 +254,16 @@ class TestGradientModulus:
         assert 0.35 <= rep.fitted_modulus.exponent <= 0.65
         assert rep.passed
 
+    def test_rounding_noise_fits_zero(self):
+        # the shift-sq transform of example1 does not depend on p; its
+        # differences are rounding noise, which must not be fitted
+        H1 = ham.example1()
+        H = ham.transform_hamiltonian(H1, transform.shift_sq_gauge(H1.u_domain))
+        for seed in range(1, 21):
+            rep = ham.check_gradient_modulus(H, 2.0, 2000, seed)
+            assert rep.fitted_modulus == ham.ModulusFamily("linear", 0.0), seed
+            assert rep.passed
+
 
 class TestStructureCp6:
     def test_coincident_corner_is_exactly_zero(self):

@@ -97,6 +97,20 @@ class TestForms:
             forms.field_form({"form": "spline", "params": {}}, 1)
 
 
+class TestModelFile:
+    def test_bounds_override_refused(self):
+        cfg = mbs.default_model().to_dict()
+        cfg["bounds"] = {"g_lip": 0.0}
+        with pytest.raises(ConfigurationError, match="bounds"):
+            mbs.model_from_dict(cfg)
+
+    def test_empty_bounds_loads(self):
+        cfg = mbs.default_model().to_dict()
+        assert "bounds" not in cfg
+        with_empty = mbs.model_from_dict(cfg | {"bounds": {}})
+        assert with_empty.bounds() == mbs.model_from_dict(cfg).bounds()
+
+
 class TestLowerBarrier:
     def test_zero_data_zero_barrier(self):
         m = constants_model()
@@ -299,7 +313,7 @@ def loop_validate_model(m, n_samples, seed, k_lower):
             worst, worst_sample = local, {"x": x.tolist(), "t": t}
     record("P2:rho-positive", 1.0 if m.rho <= 0.0 else -1.0)
     record("P2:tau-positive", 1.0 if m.tau <= 0.0 else -1.0)
-    record("dt-h:linear-envelope", dt_rate - b["dt_h_modulus_rate"] - tol)
+    record("dt-h:linear-envelope", dt_rate - b["dt_h_sup"] - tol)
     max_violation = max(failures.values()) if failures else 0.0
     return sorted(failures), max_violation, worst_sample if failures else {}, dt_rate
 
@@ -586,7 +600,7 @@ class TestStructuralCandidates:
     def test_cp7_gamma_rate_formula(self):
         # rate = rho ((C2 M0)^2 / (4 lam2) + C2) for the computed C2
         m = mbs.default_model()
-        gamma, _, _ = mbs.cp7_candidates(m, R=2.0, lam1=None, lam2=1.0)
+        gamma, _, _ = mbs.cp7_candidates(m, R=2.0)
         pair = mbs.barrier_pair(m)
         rate = gamma.fn(1.0)
         # invert the formula for C2 and check consistency

@@ -143,8 +143,6 @@ class TestSolveOracles:
     def test_run_flags(self, desk_run):
         flags = desk_run.result.flags
         assert flags["steps"] > 0
-        assert flags["boundary_influence_nodes"] == flags["steps"]
-        assert isinstance(flags["padding_margin_exhausted"], bool)
 
 
 class TestMonotonicity:
