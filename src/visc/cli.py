@@ -19,6 +19,7 @@ import numpy as np
 
 from . import jsonio, mbs, osgood, solver
 from .errors import BlowUpError, ConfigurationError, ModelError, ViscError
+from .forms import parse_field, refuse_unknown
 from .hamiltonian import (
     check_degenerate_ellipticity,
     check_gradient_modulus,
@@ -61,9 +62,12 @@ class Artifacts:
 @contextmanager
 def _parsing(what: str):
     """Turn a malformed outside input (a missing field, a value of the wrong
-    type, text that is not JSON) into a ConfigurationError naming it."""
+    type, text that is not JSON) into a ConfigurationError naming it; a
+    ConfigurationError raised while parsing gets the same prefix."""
     try:
         yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{what}: {exc}") from exc
     except ViscError:
         raise
     except KeyError as exc:
@@ -82,25 +86,24 @@ def _load_model(path: str) -> mbs.MbsModel:
 def _load_grid(path: str) -> solver.GridSpec:
     with _parsing(f"grid file {path}"), open(path) as fh:
         cfg = json.load(fh)
-        for key in cfg:
-            if key not in ("box", "nodes", "padding"):
-                raise ConfigurationError(f"grid file {path}: unknown field {key!r}")
+        refuse_unknown(cfg, ("box", "nodes", "padding"))
         return solver.GridSpec(
-            box=tuple(tuple(float(v) for v in b) for b in cfg["box"]),
-            nodes=tuple(int(n) for n in cfg["nodes"]),
-            padding=int(cfg.get("padding", 2)),
+            box=parse_field(cfg, "box", lambda box: tuple(tuple(map(float, b)) for b in box)),
+            nodes=parse_field(cfg, "nodes", lambda nodes: tuple(map(int, nodes))),
+            padding=parse_field(cfg, "padding", int, default=2),
         )
 
 
 def _load_scheme(path: str, problem) -> solver.SchemeConfig:
     with _parsing(f"scheme file {path}"), open(path) as fh:
         cfg = json.load(fh)
+        refuse_unknown(cfg, ("theta", "dt", "record_every"))
         theta, dt = cfg.get("theta", "auto"), cfg.get("dt", "auto")
         if theta != "auto":
-            theta = tuple(float(v) for v in theta)
+            theta = parse_field(cfg, "theta", lambda th: tuple(map(float, th)))
         if dt != "auto":
-            dt = float(dt)
-        record_every = int(cfg.get("record_every", 100))
+            dt = parse_field(cfg, "dt")
+        record_every = parse_field(cfg, "record_every", int, default=100)
     if theta == "auto":
         theta = solver.estimate_theta(problem)
     if dt == "auto":

@@ -25,6 +25,24 @@ def _as_points(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
+def parse_field(spec: dict, key: str, convert: Callable = float, default=None):
+    """convert applied to spec[key], or to default when one is given and the
+    key is absent; a value that convert refuses is reported with its field
+    name (a missing required key raises KeyError)."""
+    try:
+        return convert(spec[key] if default is None else spec.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"field {key!r}: {exc}") from exc
+
+
+def refuse_unknown(spec: dict, fields: tuple[str, ...]) -> None:
+    """Refuse a key of spec that is not in fields, which would otherwise be
+    ignored without a word (a misspelt "Rho" or "dtt")."""
+    for key in spec:
+        if key not in fields:
+            raise ConfigurationError(f"unknown field {key!r}")
+
+
 # ---------------------------------------------------------------------------
 # time forms (interest rate r, bank account xi)
 

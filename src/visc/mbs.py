@@ -159,30 +159,34 @@ class MbsModel:
         }
 
 
+_MODEL_FIELDS = ("N", "d", "sigma", "mu", "r", "xi", "h", "rho", "tau", "T", "U0")
+
+
 def model_from_dict(cfg: dict) -> MbsModel:
-    for key in ("N", "d", "sigma", "mu", "r", "xi", "h", "rho", "tau", "T", "U0"):
+    for key in _MODEL_FIELDS:
         if key not in cfg:
             raise ConfigurationError(f"model config missing required field {key!r}")
+    forms.refuse_unknown(cfg, _MODEL_FIELDS + ("bounds",))
     # older model files carry an empty "bounds"; overrides of the derived
     # constants are refused rather than ignored
     if cfg.get("bounds"):
         raise ConfigurationError(
             "model field 'bounds' is not supported: the constants are derived from the forms"
         )
-    n = int(cfg["N"])
-    d = int(cfg["d"])
+    field_of = forms.parse_field
+    n, d = field_of(cfg, "N", int), field_of(cfg, "d", int)
     return MbsModel(
         dim_state=n,
         dim_noise=d,
-        sigma=forms.matrix_form(cfg["sigma"], n, d),
-        mu=forms.vector_form(cfg["mu"], n),
-        r=forms.time_form(cfg["r"]),
-        xi=forms.time_form(cfg["xi"]),
-        h=forms.field_form(cfg["h"], n),
-        rho=float(cfg["rho"]),
-        tau=float(cfg["tau"]),
-        T=float(cfg["T"]),
-        U0=forms.field_form(cfg["U0"], n),
+        sigma=field_of(cfg, "sigma", lambda spec: forms.matrix_form(spec, n, d)),
+        mu=field_of(cfg, "mu", lambda spec: forms.vector_form(spec, n)),
+        r=field_of(cfg, "r", forms.time_form),
+        xi=field_of(cfg, "xi", forms.time_form),
+        h=field_of(cfg, "h", lambda spec: forms.field_form(spec, n)),
+        rho=field_of(cfg, "rho"),
+        tau=field_of(cfg, "tau"),
+        T=field_of(cfg, "T"),
+        U0=field_of(cfg, "U0", lambda spec: forms.field_form(spec, n)),
     )
 
 

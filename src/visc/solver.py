@@ -149,7 +149,9 @@ def _shifted(values: np.ndarray, axis: int, step: int) -> np.ndarray:
 class _MonotoneStencil:
     """The linear monotone stencil both unknowns share: per-axis diffusion,
     upwind drift and Lax-Friedrichs dissipation, plus the central gradient
-    handed to the subclass's reaction term."""
+    handed to the subclass's reaction term.  Its coefficients do not depend
+    on t (mu is taken at t = 0): _fold computes them once per theta, and one
+    kernel, _rhs_into, applies them in place into buffers the problem owns."""
 
     def __init__(self, model: MbsModel, grid: GridSpec):
         if grid.dim != model.dim_state:
@@ -170,29 +172,45 @@ class _MonotoneStencil:
         self.a_dx = self.diffusion / np.asarray(grid.dx)
         # running max over nodes and steps of |dH/dp_k|, per axis
         self.slope_sup = np.zeros(grid.dim)
+        shape = self.x_int.shape[:-1]
+        self._rate, self._tmp = np.empty(shape), np.empty(shape)
+        # stored axis by axis so grad[..., k] is contiguous
+        self._grad = np.moveaxis(np.empty((grid.dim,) + shape), 0, -1)
+        self._folded: tuple = (None, None)
 
-    def _record_slope(self, b: np.ndarray) -> None:
-        b_max = np.abs(b).reshape(-1, self.grid.dim).max(axis=0)
-        np.maximum(self.slope_sup, b_max, out=self.slope_sup)
+    def _fold(self, theta: Sequence[float]) -> tuple:
+        """c_up_k = (a_k + theta_k dx_k) / 2dx_k^2 + mu_k^+ / dx_k, c_dn_k the
+        same with mu_k^-, c_0 and the central-difference widths 2 dx_k, per theta."""
+        theta = tuple(float(v) for v in theta)
+        if self._folded[0] != theta:
+            c_up, c_dn = [], []
+            for k, dx in enumerate(self.grid.dx):
+                diff = 0.5 * (self.diffusion[k] + theta[k] * dx) / dx**2
+                c_up.append(diff + np.maximum(self.mu_int[..., k], 0.0) / dx)
+                c_dn.append(diff + np.maximum(-self.mu_int[..., k], 0.0) / dx)
+            c_0 = -(sum(c_up) + sum(c_dn))
+            self._folded = (theta, (c_up, c_dn, c_0, [2.0 * dx for dx in self.grid.dx]))
+        return self._folded[1]
 
     def _reaction(self, W: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def rhs(self, values: np.ndarray, t: float, theta: Sequence[float]) -> np.ndarray:
-        dx = self.grid.dx
-        W = _interior(values)
-        out = np.zeros_like(W)
-        grad = np.empty(W.shape + (self.grid.dim,))
+    def _rhs_into(self, values: np.ndarray, t: float, theta, out: np.ndarray) -> np.ndarray:
+        """The right-hand side on the interior nodes, written into out."""
+        c_up, c_dn, c_0, two_dx = self._fold(theta)
+        W, tmp = _interior(values), self._tmp
+        np.multiply(c_0, W, out=out)
         for ax in range(self.grid.dim):
-            up = _shifted(values, ax, +1)
-            dn = _shifted(values, ax, -1)
-            second = (up - 2.0 * W + dn) / dx[ax] ** 2
-            out += 0.5 * (self.diffusion[ax] + theta[ax] * dx[ax]) * second
-            mu_ax = self.mu_int[..., ax]
-            out += np.maximum(mu_ax, 0.0) * (up - W) / dx[ax]
-            out -= np.maximum(-mu_ax, 0.0) * (W - dn) / dx[ax]
-            grad[..., ax] = (up - dn) / (2.0 * dx[ax])
-        return out + self._reaction(W, grad, t)
+            up, dn = _shifted(values, ax, +1), _shifted(values, ax, -1)
+            out += np.multiply(c_up[ax], up, out=tmp)
+            out += np.multiply(c_dn[ax], dn, out=tmp)
+            g = np.subtract(up, dn, out=self._grad[..., ax])
+            np.divide(g, two_dx[ax], out=g)
+        out += self._reaction(W, self._grad, t)
+        return out
+
+    def rhs(self, values: np.ndarray, t: float, theta: Sequence[float]) -> np.ndarray:
+        return self._rhs_into(values, t, theta, np.empty(self._rate.shape))
 
 
 class PricingProblem(_MonotoneStencil):
@@ -214,23 +232,34 @@ class PricingProblem(_MonotoneStencil):
         # h = s(t) phi(x): the profile on the interior nodes, once per problem
         self.h_phi = model.h.value(self.x_int)
         self.flags = {"denominator_clamped": False}
+        self._den, self._quad, self._react = (np.empty(self._rate.shape) for _ in range(3))
 
     def initial_values(self) -> np.ndarray:
         return self.model.U0.value(self.grid.points(), 0.0)
 
     def _reaction(self, U: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         m = self.model
-        h_int = m.h.time_factor(t) * self.h_phi
-        out = m.tau * h_int - float(m.r(t)) * (U + h_int)
+        den, quad, out, tmp = self._den, self._quad, self._react, self._tmp
+        # tau h - r (U + h), with den = h, then U + h
+        np.multiply(m.h.time_factor(t), self.h_phi, out=den)
+        np.multiply(m.tau, den, out=out)
+        den += U
+        out -= np.multiply(float(m.r(t)), den, out=tmp)
         if m.rho > 0.0:
-            sp = grad @ m.sigma.value(t)
-            den = U + h_int + float(m.xi(t))
-            if np.any(den < self.den_floor):
+            den += float(m.xi(t))
+            if den.min() < self.den_floor:
                 self.flags["denominator_clamped"] = True
-                den = np.maximum(den, self.den_floor)
-            out -= m.rho * np.sum(sp * sp, axis=-1) / den
+                np.maximum(den, self.den_floor, out=den)
+            # |sigma^T p|^2 = sum_k a_k p_k^2, as sigma sigma^T = diag(a)
+            np.multiply(self.diffusion[0], np.square(grad[..., 0], out=quad), out=quad)
+            for ax in range(1, self.grid.dim):
+                np.square(grad[..., ax], out=tmp)
+                quad += np.multiply(self.diffusion[ax], tmp, out=tmp)
+            out -= np.divide(np.multiply(m.rho, quad, out=quad), den, out=quad)
             # dH/dp_k = -2 rho a_k p_k / den
-            self._record_slope((2.0 * m.rho * self.diffusion) * grad / den[..., None])
+            p_den = [np.abs(np.divide(grad[..., ax], den, out=tmp), out=tmp).max()
+                     for ax in range(self.grid.dim)]
+            np.maximum(self.slope_sup, 2.0 * m.rho * self.diffusion * p_den, out=self.slope_sup)
         return out
 
 
@@ -252,6 +281,8 @@ class StraightenedProblem(_MonotoneStencil):
         self.dphi_sig = model.h.grad(self.x_int) @ model.sigma.value()
         self.g_at = source_g_on(model, self.x_int)
         self.flags = {"v_range_clamped": False}
+        self._react = np.empty(self._rate.shape)
+        self._sp, self._num = (np.empty(self._rate.shape + (model.dim_noise,)) for _ in range(2))
         # stable_dt's discount: the source -(r u + g) / I'(v), u = I(v), falls in v at the
         # rate r - (r u + g) z'(u) / 2z(u); its sup over the u-range, nodes and 33 times
         u = np.linspace(*transf.u_range, 257)[:, None]
@@ -262,10 +293,9 @@ class StraightenedProblem(_MonotoneStencil):
         self.r_sup = max(float(rate.max()), 0.0)
 
     def _gauge_at(self, v: np.ndarray):
-        vv = np.clip(v, self.v_lo, self.v_hi)
-        if np.any(v < self.v_lo) or np.any(v > self.v_hi):
+        if v.min() < self.v_lo or v.max() > self.v_hi:
             self.flags["v_range_clamped"] = True
-        u = self.inv(vv)
+        u = self.inv(np.clip(v, self.v_lo, self.v_hi))
         return u, np.sqrt(self.transf.gauge.z(u)), 0.5 * self.transf.gauge.z_prime(u)
 
     def initial_values(self) -> np.ndarray:
@@ -277,16 +307,23 @@ class StraightenedProblem(_MonotoneStencil):
         m = self.model
         sig = m.sigma.value(t)
         u, ip, ipp = self._gauge_at(V)
-        sp = grad @ sig
-        num = ip[..., None] * sp - m.h.time_factor(t) * self.dphi_sig
+        ratio = np.divide(ipp, ip, out=ipp)
+        sp = np.matmul(grad, sig, out=self._sp)
+        num = np.multiply(ip[..., None], sp, out=self._num)
+        num -= m.h.time_factor(t) * self.dphi_sig
         # dH/dp = sigma c, c = (I''/I') sigma^T p - 2 rho num / u
-        c = (ipp / ip)[..., None] * sp - (2.0 * m.rho / u)[..., None] * num
-        self._record_slope(c @ sig.T)
-        return (
-            (0.5 * ipp / ip) * np.sum(sp * sp, axis=-1)
-            - m.rho * np.sum(num * num, axis=-1) / (u * ip)
-            - (float(m.r(t)) * u + self.g_at(t)) / ip
-        )
+        c = ratio[..., None] * sp
+        c -= (2.0 * m.rho / u)[..., None] * num
+        b_max = np.abs(c @ sig.T).reshape(-1, self.grid.dim).max(axis=0)
+        np.maximum(self.slope_sup, b_max, out=self.slope_sup)
+        # (I''/2I') |sigma^T p|^2 - rho |num|^2 / (u I') - (r u + g) / I'
+        out, tmp = self._react, self._tmp
+        np.multiply(0.5 * ratio, np.square(sp, out=sp).sum(axis=-1), out=out)
+        np.multiply(u, ip, out=tmp)
+        out -= np.divide(m.rho * np.square(num, out=num).sum(axis=-1), tmp, out=tmp)
+        np.add(np.multiply(float(m.r(t)), u, out=u), self.g_at(t), out=u)
+        out -= np.divide(u, ip, out=u)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +376,17 @@ def _check_cfl(problem, cfg: SchemeConfig):
         )
 
 
-def _advance(values: np.ndarray, t: float, problem, theta, dt: float) -> np.ndarray:
-    """The values one explicit Euler step on: the interior update, then the
-    boundary ring copied from its inner neighbours (what np.pad's edge mode
-    gives, corners included)."""
-    out = np.empty_like(values)
-    np.add(_interior(values), dt * problem.rhs(values, t, theta), out=_interior(out))
-    for ax in range(out.ndim):
+def _advance(values: np.ndarray, t: float, problem, theta, dt: float) -> None:
+    """One explicit Euler step on values, in place: the interior update (the
+    whole rate is formed first), then the boundary ring copied from its inner
+    neighbours (what np.pad's edge mode gives, corners included)."""
+    rate = problem._rhs_into(values, t, theta, problem._rate)
+    interior = _interior(values)
+    interior += np.multiply(dt, rate, out=rate)
+    for ax in range(values.ndim):
         head = (slice(None),) * ax
-        out[head + (0,)] = out[head + (1,)]
-        out[head + (-1,)] = out[head + (-2,)]
-    return out
+        values[head + (0,)] = values[head + (1,)]
+        values[head + (-1,)] = values[head + (-2,)]
 
 
 def step(field_in: GridField, problem, cfg: SchemeConfig) -> GridField:
@@ -359,7 +396,8 @@ def step(field_in: GridField, problem, cfg: SchemeConfig) -> GridField:
     if field_in.grid != problem.grid:
         raise ConfigurationError("field grid does not match the problem grid")
     _check_cfl(problem, cfg)
-    values = _advance(field_in.values, field_in.t, problem, cfg.theta, cfg.dt)
+    values = field_in.values.copy()
+    _advance(values, field_in.t, problem, cfg.theta, cfg.dt)
     return GridField(field_in.grid, field_in.t + cfg.dt, values)
 
 
@@ -389,18 +427,18 @@ def _march(problem, start: GridField, cfg: SchemeConfig, t_end: float) -> SolveR
     _check_cfl(problem, cfg)
     problem.slope_sup = np.zeros(problem.grid.dim)
     fields = [start]
-    values, t = start.values, start.t
+    values, t = start.values.copy(), start.t
     n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
     for k in range(n_steps):
         dt = min(cfg.dt, t_end - t)
-        values = _advance(values, t, problem, cfg.theta, dt)
+        _advance(values, t, problem, cfg.theta, dt)
         t = t + dt
         if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
             finite = np.isfinite(values)
             if not finite.all():
                 node = np.unravel_index(int(np.argmin(finite)), values.shape)
                 raise BlowUpError(k + 1, t, tuple(int(i) for i in node))
-            fields.append(GridField(problem.grid, t, values))
+            fields.append(GridField(problem.grid, t, values.copy()))
     flags = dict(problem.flags)
     flags["steps"] = n_steps
     flags["dH_dp_max"] = problem.slope_sup.tolist()

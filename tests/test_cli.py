@@ -235,6 +235,40 @@ class TestSolveCommand:
         assert res.exit_code == 1
         assert "cfl_safety" in res.output
 
+    @pytest.mark.parametrize("which, edit", [
+        ("model", {"Rho": 5.0}),
+        ("scheme", {"dtt": 1e-5}),
+        ("model", {"rho": "x"}),
+        ("scheme", {"theta": "x"}),
+        ("grid", {"nodes": ["x"]}),
+    ])
+    def test_bad_field_exits_one_naming_it(self, runner, tmp_path, which, edit):
+        # a misspelt key used to be ignored, a bad value reported without its field
+        cfgs = {"model": constant_h_model(), "grid": {"box": [[-3.0, 3.0]], "nodes": [33]},
+                "scheme": {"theta": "auto"}}
+        cfgs[which].update(edit)
+        paths = {k: write_model(tmp_path / f"{k}.json", c) for k, c in cfgs.items()}
+        res = runner.invoke(
+            main,
+            ["solve", "--model", paths["model"], "--grid", paths["grid"],
+             "--scheme", paths["scheme"], "--out", str(tmp_path / "out"), "--t-end", "0.1"],
+        )
+        assert res.exit_code == 1, res.output
+        (key,) = edit
+        assert f"{which} file" in res.output
+        assert f"field {key!r}" in res.output
+
+    def test_empty_bounds_still_loads(self, runner, tmp_path):
+        model = write_model(tmp_path / "m.json", constant_h_model() | {"bounds": {}})
+        grid = tmp_path / "g.json"
+        grid.write_text(json.dumps({"box": [[-3.0, 3.0]], "nodes": [33]}))
+        res = runner.invoke(
+            main,
+            ["solve", "--model", model, "--grid", str(grid), "--out", str(tmp_path / "out"),
+             "--t-end", "0.1"],
+        )
+        assert res.exit_code == 0, res.output
+
     def test_internal_error_is_not_a_config_error(self, runner, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("internal")

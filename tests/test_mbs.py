@@ -110,6 +110,18 @@ class TestModelFile:
         with_empty = mbs.model_from_dict(cfg | {"bounds": {}})
         assert with_empty.bounds() == mbs.model_from_dict(cfg).bounds()
 
+    def test_unknown_field_refused(self):
+        cfg = mbs.default_model().to_dict() | {"Rho": 5.0}
+        with pytest.raises(ConfigurationError, match="unknown field 'Rho'"):
+            mbs.model_from_dict(cfg)
+
+    @pytest.mark.parametrize("key", ["rho", "N", "h"])
+    def test_bad_value_named_by_field(self, key):
+        cfg = mbs.default_model().to_dict()
+        cfg[key] = "x" if key != "h" else {"form": "constant", "params": {"value": "x"}}
+        with pytest.raises(ConfigurationError, match=f"field '{key}'"):
+            mbs.model_from_dict(cfg)
+
 
 class TestLowerBarrier:
     def test_zero_data_zero_barrier(self):

@@ -562,3 +562,99 @@ class TestBlowUp:
         assert info.value.t == pytest.approx(expected * dt, rel=1e-12)
         # the three-point stencil spreads the NaN one node per step after step 3
         assert info.value.node == (20 - (expected - 3),)
+
+
+def _kernel_case(name):
+    """A fresh problem for each in-place kernel case."""
+    m = mbs.default_model()
+    box = ((-4.0, 4.0),)
+    if name == "pricing-201":
+        return solver.PricingProblem(m, solver.GridSpec(box=box, nodes=(201,)))
+    if name == "pricing-2d":
+        return solver.PricingProblem(model_2d(), solver.GridSpec(box=box * 2, nodes=(41, 41)))
+    return solver.StraightenedProblem(m, affine_sq_transformation(m),
+                                      solver.GridSpec(box=box, nodes=(101,)))
+
+
+class TestInPlaceKernel:
+    """solve marches in one reused buffer and copies the fields it records;
+    public step copies per call.  Both go through the one kernel, so their
+    fields agree bit for bit."""
+
+    @pytest.mark.parametrize("case", ["pricing-201", "pricing-2d", "straightened-101"])
+    def test_march_equals_step_loop(self, case):
+        from dataclasses import replace
+
+        problem = _kernel_case(case)
+        cfg = replace(solver.auto_config(problem), record_every=3)
+        t_end = 0.9
+        if isinstance(problem, solver.PricingProblem):
+            result = solver.solve(problem.model, problem.grid, cfg=cfg, t_end=t_end)
+        else:
+            result = solver.solve_transformed(problem.model, problem.transf, problem.grid,
+                                              cfg=cfg, t_end=t_end)
+        stepper = _kernel_case(case)
+        f = solver.GridField(stepper.grid, 0.0, stepper.initial_values())
+        fields = [f]
+        n_steps = result.flags["steps"]
+        for k in range(n_steps):
+            f = solver.step(f, stepper, replace(cfg, dt=min(cfg.dt, t_end - f.t)))
+            if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
+                fields.append(f)
+        assert len(result.fields) == len(fields) > 3
+        assert [g.t for g in result.fields] == [g.t for g in fields]
+        for got, want in zip(result.fields, fields):
+            assert np.array_equal(got.values, want.values)
+        assert result.flags["dH_dp_max"] == stepper.slope_sup.tolist()
+        for key, flag in stepper.flags.items():
+            assert result.flags[key] == flag
+        for i, a in enumerate(result.fields):
+            for b in result.fields[i + 1:]:
+                assert not np.shares_memory(a.values, b.values)
+
+    def test_folded_coefficients_match_difference_form(self):
+        # rho = 0, r = 0, h = 0: rhs is the linear stencil alone, here against
+        # its difference form sum_k (a_k + theta_k dx_k)/2 D2_k W + mu^+ D+ - mu^- D-
+        m = mbs.model_from_dict({
+            **model_2d().to_dict(), "rho": 0.0,
+            "r": {"form": "constant", "params": {"value": 0.0}},
+            "h": {"form": "zero", "params": {}},
+        })
+        grid = solver.GridSpec(box=((-4.0, 4.0), (-3.0, 3.0)), nodes=(21, 17))
+        problem = solver.PricingProblem(m, grid)
+        values = np.random.default_rng(5).uniform(-1.0, 1.0, grid.nodes)
+        theta = (0.3, 0.2)
+        W = values[1:-1, 1:-1]
+        want = np.zeros_like(W)
+        for ax, dx in enumerate(grid.dx):
+            sl = [slice(1, -1)] * 2
+            up = values[tuple(sl[:ax] + [slice(2, None)] + sl[ax + 1:])]
+            dn = values[tuple(sl[:ax] + [slice(None, -2)] + sl[ax + 1:])]
+            mu = problem.mu_int[..., ax]
+            want += 0.5 * (problem.diffusion[ax] + theta[ax] * dx) * (up - 2.0 * W + dn) / dx**2
+            want += np.maximum(mu, 0.0) * (up - W) / dx - np.maximum(-mu, 0.0) * (W - dn) / dx
+        got = problem.rhs(values, 0.0, theta)
+        scale = max(problem.diffusion + np.asarray(theta) * grid.dx) / min(grid.dx) ** 2
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    def test_rhs_returns_a_fresh_array(self):
+        problem = _kernel_case("pricing-201")
+        values = problem.initial_values()
+        a = problem.rhs(values, 0.1, (0.0,))
+        b = problem.rhs(values, 0.1, (0.0,))
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, b)
+
+    def test_clamps_are_flagged(self):
+        # a field below the denominator floor, and one above Psi's range
+        pricing = _kernel_case("pricing-201")
+        low = np.full(pricing.grid.nodes, -float(pricing.model.xi(0.0)))
+        cfg = solver.auto_config(pricing)
+        res = solver._march(pricing, solver.GridField(pricing.grid, 0.0, low), cfg, 5 * cfg.dt)
+        assert res.flags["denominator_clamped"]
+        straightened = _kernel_case("straightened-101")
+        high = np.full(straightened.grid.nodes, straightened.v_hi + 0.1)
+        cfg = solver.auto_config(straightened)
+        res = solver._march(straightened, solver.GridField(straightened.grid, 0.0, high),
+                            cfg, 5 * cfg.dt)
+        assert res.flags["v_range_clamped"]
