@@ -31,6 +31,7 @@ the reserved padding margin (GridSpec.audited_slice).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -275,10 +276,10 @@ class StraightenedProblem(_MonotoneStencil):
     def __init__(self, model: MbsModel, transf: Transformation, grid: GridSpec):
         super().__init__(model, grid)
         self.transf = transf
-        self.inv = transf.inverse_interpolant()
         self.v_lo, self.v_hi = transf.v_range
         # h = s(t) phi(x): the spatial parts on the interior nodes, once per problem
-        self.dphi_sig = model.h.grad(self.x_int) @ model.sigma.value()
+        self.sig = model.sigma.value()
+        self.dphi_sig = model.h.grad(self.x_int) @ self.sig
         self.g_at = source_g_on(model, self.x_int)
         self.flags = {"v_range_clamped": False}
         self._react = np.empty(self._rate.shape)
@@ -295,7 +296,8 @@ class StraightenedProblem(_MonotoneStencil):
     def _gauge_at(self, v: np.ndarray):
         if v.min() < self.v_lo or v.max() > self.v_hi:
             self.flags["v_range_clamped"] = True
-        u = self.inv(np.clip(v, self.v_lo, self.v_hi))
+            v = np.clip(v, self.v_lo, self.v_hi)
+        u = self.transf.hermite_inverse(v)
         return u, np.sqrt(self.transf.gauge.z(u)), 0.5 * self.transf.gauge.z_prime(u)
 
     def initial_values(self) -> np.ndarray:
@@ -304,17 +306,16 @@ class StraightenedProblem(_MonotoneStencil):
         return self.transf.psi(m.U0.value(pts, 0.0) + m.h.value(pts, 0.0) + float(m.xi(0.0)))
 
     def _reaction(self, V: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
-        m = self.model
-        sig = m.sigma.value(t)
+        m, sig = self.model, self.sig
         u, ip, ipp = self._gauge_at(V)
         ratio = np.divide(ipp, ip, out=ipp)
-        sp = np.matmul(grad, sig, out=self._sp)
+        sp = np.dot(grad, sig, out=self._sp)
         num = np.multiply(ip[..., None], sp, out=self._num)
         num -= m.h.time_factor(t) * self.dphi_sig
         # dH/dp = sigma c, c = (I''/I') sigma^T p - 2 rho num / u
         c = ratio[..., None] * sp
         c -= (2.0 * m.rho / u)[..., None] * num
-        b_max = np.abs(c @ sig.T).reshape(-1, self.grid.dim).max(axis=0)
+        b_max = np.abs(np.dot(c, sig.T)).reshape(-1, self.grid.dim).max(axis=0)
         np.maximum(self.slope_sup, b_max, out=self.slope_sup)
         # (I''/2I') |sigma^T p|^2 - rho |num|^2 / (u I') - (r u + g) / I'
         out, tmp = self._react, self._tmp
@@ -421,11 +422,13 @@ def _march(problem, start: GridField, cfg: SchemeConfig, t_end: float) -> SolveR
 
     theta is fixed for the run and every dt_k <= cfg.dt, so one CFL check
     covers every step.  A recorded field with non-finite values raises
-    BlowUpError.  The flags report the smallest monotonicity margin
+    BlowUpError.  The flags report this run alone (the problem's clamp
+    flags are reset first) and the smallest monotonicity margin
     a_k/dx_k + theta_k - max|dH/dp_k| over axes and steps, never enforced.
     """
     _check_cfl(problem, cfg)
     problem.slope_sup = np.zeros(problem.grid.dim)
+    problem.flags = dict.fromkeys(problem.flags, False)
     fields = [start]
     values, t = start.values.copy(), start.t
     n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
@@ -507,9 +510,8 @@ def solve_transformed(
 
 def map_back(result: SolveResult, transf: Transformation) -> list[GridField]:
     """I(v) for every recorded v-field, giving u-scale fields."""
-    inv = transf.inverse_interpolant()
     return [
-        GridField(f.grid, f.t, inv(np.clip(f.values, *transf.v_range)))
+        GridField(f.grid, f.t, transf.hermite_inverse(np.clip(f.values, *transf.v_range)))
         for f in result.fields
     ]
 
@@ -566,50 +568,59 @@ def mc_oracle(
         e^{-int_0^t r} U0(X_t) + int_0^t e^{-int_0^s r} (tau - r) h(X_s, .) ds.
 
     Paths run in chunks of _MC_CHUNK, each with its generator derived from
-    (seed, chunk index), so enlarging n_paths extends the same stream family;
-    reductions run in a fixed order.
+    (seed, chunk index), so enlarging n_paths extends the same stream family.
+    The chunks run on a thread pool over the cores this process may use, and
+    their sums are added in chunk order, so the result does not depend on
+    how many cores there are.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if model.rho != 0.0:
         raise PreconditionError("the probabilistic oracle requires rho = 0")
     if n_paths < 2 or n_steps < 1:
         raise PreconditionError("need n_paths >= 2 and n_steps >= 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = model.dim_state
     R = model.r.antiderivative
     dt = t / n_steps
     sq = math.sqrt(dt)
-    has_h = not model.h.is_zero()
+    sig_T = model.sigma.value().T
+    pde_ts = [max(t - j * dt, 0.0) for j in range(n_steps + 1)]
 
     def disc(s: float) -> float:
         # exp(-int_0^s r(t - nu) d nu)
         return math.exp(-(float(R(t)) - float(R(t - s))))
 
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    c = 0
-    while done < n_paths:
-        k = min(_MC_CHUNK, n_paths - done)
+    # per step: trapezoid weight * discount * (tau - r), the same for every path
+    src = None
+    if not model.h.is_zero():
+        src = [(0.5 * dt if j in (0, n_steps) else dt) * disc(j * dt)
+               * (model.tau - float(model.r(pde_ts[j]))) for j in range(n_steps + 1)]
+
+    def chunk(c: int) -> tuple[float, float]:
+        k = min(_MC_CHUNK, n_paths - c * _MC_CHUNK)
         rng = np.random.default_rng([seed, c])
         X = np.tile(x, (k, 1))
         acc = np.zeros(k)
-        for j in range(n_steps + 1):
-            s = j * dt
-            pde_t = max(t - s, 0.0)
-            if has_h:
-                w = 0.5 * dt if j in (0, n_steps) else dt
-                acc += w * disc(s) * (model.tau - float(model.r(pde_t))) * model.h.value(
-                    X, pde_t
-                )
+        for j, pde_t in enumerate(pde_ts):
+            if src is not None:
+                acc += src[j] * model.h.value(X, pde_t)
             if j < n_steps:
                 Z = rng.standard_normal((k, model.dim_noise))
-                sig = model.sigma.value(pde_t)
-                X = X + model.mu.value(X, pde_t) * dt + (Z @ sig.T) * sq
+                X = X + model.mu.value(X, pde_t) * dt + np.dot(Z, sig_T) * sq
         vals = acc + disc(t) * model.U0.value(X, 0.0)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += k
-        c += 1
+        return float(vals.sum()), float((vals * vals).sum())
+
+    n_chunks = -(-n_paths // _MC_CHUNK)
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    total = 0.0
+    total_sq = 0.0
+    with ThreadPoolExecutor(max_workers=min(cores, n_chunks)) as pool:
+        for s, s_sq in pool.map(chunk, range(n_chunks)):
+            total += s
+            total_sq += s_sq
     mean = total / n_paths
     var = max(total_sq / n_paths - mean * mean, 0.0) * n_paths / (n_paths - 1)
     return mean, math.sqrt(var / n_paths)

@@ -153,27 +153,37 @@ class Transformation:
         return _like(v, np.sqrt(self.gauge.z(u))), _like(v, 0.5 * self.gauge.z_prime(u))
 
     def _bracket(self, v):
-        """Index k of the table panel [Psi(u_k), Psi(u_k+1)] holding v."""
-        return np.clip(np.searchsorted(self._psi_table, v) - 1, 0, _TABLE_NODES - 2)
+        """Index k of the table panel [Psi(u_k), Psi(u_k+1)] holding v; the
+        end panels take the values beyond the table."""
+        return np.searchsorted(self._psi_table[1:-1], v)
+
+    def hermite_inverse(self, v: np.ndarray) -> np.ndarray:
+        """The cubic Hermite interpolant of I at v, unchecked: v must lie in
+        v_range.  inverse_interpolant is the checked form."""
+        k = self._bracket(v)
+        c0, c1, c2, c3 = self._hermite[:, k]
+        d = v - self._psi_table[k]
+        return c0 + d * (c1 + d * (c2 + d * c3))
 
     def inverse_interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
         """Vectorized cubic Hermite approximation of I, for grid sweeps.
 
         Interpolates the table values u_k at Psi(u_k) with the exact slopes
         sqrt(z(u_k)); its error is far below the solver tolerances it
-        serves.  psi_inverse remains the reference implementation.
+        serves.  psi_inverse remains the reference implementation.  A query
+        within 1e-9 of v_range is clipped onto it; one further out raises
+        RangeError.
         """
         vlo, vhi = self.v_range
 
         def inv(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v, dtype=float)
-            if np.any(v < vlo - 1e-9) or np.any(v > vhi + 1e-9):
-                raise RangeError("interpolated inverse queried outside Psi range")
-            v = np.clip(v, vlo, vhi)
-            k = self._bracket(v)
-            c0, c1, c2, c3 = self._hermite[:, k]
-            d = v - self._psi_table[k]
-            return c0 + d * (c1 + d * (c2 + d * c3))
+            lo, hi = v.min(), v.max()
+            if lo < vlo or hi > vhi:
+                if lo < vlo - 1e-9 or hi > vhi + 1e-9:
+                    raise RangeError("interpolated inverse queried outside Psi range")
+                v = np.clip(v, vlo, vhi)
+            return self.hermite_inverse(v)
 
         return inv
 

@@ -239,6 +239,44 @@ class TestDiscreteComparison:
             solver.discrete_comparison(res_a.fields, res_b.fields)
 
 
+def _serial_oracle(model, x, t, n_paths, n_steps, seed):
+    """mc_oracle's estimator written out chunk by chunk in one thread."""
+    R = model.r.antiderivative
+    dt = t / n_steps
+
+    def disc(s):
+        return math.exp(-(float(R(t)) - float(R(t - s))))
+
+    total = total_sq = 0.0
+    for c, start in enumerate(range(0, n_paths, solver._MC_CHUNK)):
+        k = min(solver._MC_CHUNK, n_paths - start)
+        rng = np.random.default_rng([seed, c])
+        X = np.tile(x, (k, 1))
+        acc = np.zeros(k)
+        for j in range(n_steps + 1):
+            pde_t = max(t - j * dt, 0.0)
+            if not model.h.is_zero():
+                w = 0.5 * dt if j in (0, n_steps) else dt
+                acc += (w * disc(j * dt) * (model.tau - float(model.r(pde_t)))
+                        * model.h.value(X, pde_t))
+            if j < n_steps:
+                Z = rng.standard_normal((k, model.dim_noise))
+                X = X + model.mu.value(X, pde_t) * dt + (Z @ model.sigma.value().T) * math.sqrt(dt)
+        vals = acc + disc(t) * model.U0.value(X, 0.0)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+    mean = total / n_paths
+    var = max(total_sq / n_paths - mean * mean, 0.0) * n_paths / (n_paths - 1)
+    return mean, math.sqrt(var / n_paths)
+
+
+def _source_model():
+    """rho = 0 with a constant source, discounting and a cosine U0."""
+    cfg = constants_model(h0=0.3, rho=0.0, r0=0.05).to_dict()
+    cfg["U0"] = {"form": "cosine", "params": {"amplitude": 0.5, "wavevector": [1.0]}}
+    return mbs.model_from_dict(cfg)
+
+
 class TestMcOracle:
     def test_heat_matches_kernel(self):
         m = mbs.heat_model()
@@ -273,6 +311,35 @@ class TestMcOracle:
     def test_rho_precondition(self):
         with pytest.raises(PreconditionError):
             solver.mc_oracle(mbs.default_model(), np.zeros(1), 0.5, 100, 8, seed=0)
+
+    def test_matches_serial_chunks_bit_for_bit(self):
+        # criterion 4's size: the chunks run in parallel, their sums add in order
+        m = mbs.heat_model()
+        args = (np.array([1.0]), 0.5, 200_000, 200, 11)
+        assert solver.mc_oracle(m, *args) == _serial_oracle(m, *args)
+
+    def test_ragged_count_with_source_bit_for_bit(self):
+        m = _source_model()
+        args = (np.array([0.3]), 0.5, 3 * solver._MC_CHUNK + 17, 64, 2)
+        assert solver.mc_oracle(m, *args) == _serial_oracle(m, *args)
+
+    def test_one_core_gives_the_same_result(self, monkeypatch):
+        import concurrent.futures
+
+        workers = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        m = _source_model()
+        args = (np.array([0.3]), 0.5, 3 * solver._MC_CHUNK + 17, 16, 9)
+        default = solver.mc_oracle(m, *args)
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert solver.mc_oracle(m, *args) == default
+        assert workers[-1] == 1
 
 
 class TestLipschitzAudit:
@@ -658,3 +725,14 @@ class TestInPlaceKernel:
         res = solver._march(straightened, solver.GridField(straightened.grid, 0.0, high),
                             cfg, 5 * cfg.dt)
         assert res.flags["v_range_clamped"]
+
+    def test_flags_report_one_run(self):
+        # a clamp in one run on a problem is not reported by the next run on it
+        pricing = _kernel_case("pricing-201")
+        cfg = solver.auto_config(pricing)
+        low = np.full(pricing.grid.nodes, -float(pricing.model.xi(0.0)))
+        first = solver._march(pricing, solver.GridField(pricing.grid, 0.0, low), cfg, 5 * cfg.dt)
+        start = solver.GridField(pricing.grid, 0.0, pricing.initial_values())
+        second = solver._march(pricing, start, cfg, 5 * cfg.dt)
+        assert first.flags["denominator_clamped"]
+        assert second.flags["denominator_clamped"] is False

@@ -193,6 +193,26 @@ class TestInterpolant:
         exact = np.array([T.psi_inverse(float(v)) for v in vs])
         assert np.max(np.abs(inv(vs) - exact)) < 1e-10
 
+    def test_range_is_tested_once(self):
+        # within 1e-9 of the range a query is clipped onto it; further out it raises
+        T = shift_sq_transformation()
+        inv = T.inverse_interpolant()
+        vlo, vhi = T.v_range
+        ends = inv(np.array([vlo, vhi]))
+        assert np.array_equal(inv(np.array([vlo - 5e-10, vhi + 5e-10])), ends)
+        for bad in (vlo - 2e-9, vhi + 2e-9):
+            with pytest.raises(RangeError):
+                inv(np.array([0.5 * (vlo + vhi), bad]))
+
+    def test_bracket_without_clipping(self):
+        # the panel index equals the clipped searchsorted one at the table
+        # nodes, between them and at both ends
+        T = shift_sq_transformation()
+        table = T._psi_table
+        vs = np.concatenate((table, 0.5 * (table[1:] + table[:-1])))
+        want = np.clip(np.searchsorted(table, vs) - 1, 0, len(table) - 2)
+        assert np.array_equal(T._bracket(vs), want)
+
 
 class TestArrayGauges:
     @pytest.mark.parametrize(
