@@ -106,9 +106,11 @@ def _load_scheme(path: str, problem) -> solver.SchemeConfig:
         record_every = parse_field(cfg, "record_every", int, default=100)
     if theta == "auto":
         theta = solver.estimate_theta(problem)
-    if dt == "auto":
-        dt = solver.stable_dt(problem, theta)
-    return solver.SchemeConfig(theta=tuple(theta), dt=float(dt), record_every=record_every)
+    with _parsing(f"scheme file {path}"):
+        # stable_dt refuses a theta without one entry per grid axis
+        limit = solver.stable_dt(problem, theta)
+        return solver.SchemeConfig(theta=tuple(theta), dt=float(limit if dt == "auto" else dt),
+                                   record_every=record_every)
 
 
 def _guard(fn):
@@ -232,6 +234,8 @@ def cmd_check_conditions(model_path, samples, seed, R, out_dir):
 @_guard
 def cmd_barriers(model_path, points, out_dir):
     """Tabulate the lower/upper barriers on a time grid."""
+    if points < 1:  # a ConfigurationError exits 1; click's range check would exit 2
+        raise ConfigurationError(f"--points must be at least 1, got {points}")
     model = _load_model(model_path)
     pair = mbs.barrier_pair(model)
     config = {"command": "barriers", "model": model.to_dict(), "points": points}
@@ -366,6 +370,8 @@ def cmd_oracle_compare(model_path, point_str, t_probe, paths, steps, grid_path,
 @_guard
 def cmd_transform_roundtrip(gauge_id, domain_str, margin, samples, out_dir, seed):
     """Check Psi / inverse round trips and the derivative identity."""
+    if samples < 1:
+        raise ConfigurationError(f"--samples must be at least 1, got {samples}")
     with _parsing(f"--gauge {gauge_id!r} --domain {domain_str!r}"):
         domain = None
         if domain_str is not None:

@@ -2,9 +2,12 @@
 
 Model coefficients are declared as parametric closed forms so that spatial
 gradients and Hessians are exact instead of numerically differentiated.
-Scalar fields combine a spatial profile with an optional affine time factor
-1 + slope * t.  All evaluators accept x of shape (..., N) and broadcast; t is
-a scalar or an array over the leading axes of x.
+Only the rate r, the bank account xi and the cash flow h depend on time: r
+and xi are affine time forms and h is a spatial profile times an affine time
+factor 1 + slope * t.  The drift mu is a vector field of x alone, sigma is a
+constant (N, d) array, and U0 is the datum at t = 0.  All evaluators accept x
+of shape (..., N) and broadcast; t is a scalar or an array over the leading
+axes of x.
 """
 
 from __future__ import annotations
@@ -68,9 +71,6 @@ class TimeForm:
 
     def max_on(self, T: float) -> float:
         return float(max(self(0.0), self(T)))
-
-    def deriv_sup(self, T: float) -> float:
-        return abs(self.slope)
 
     def to_dict(self) -> dict:
         if self.slope == 0.0:
@@ -251,9 +251,10 @@ class FieldForm:
         x = _as_points(x, self.dim)
         return self.time_factor(t)[..., None, None] * self.profile.hess(x)
 
-    def dt(self, x, t=0.0):
+    def dt(self, x):
+        """d/dt of the field, the same at every t."""
         x = _as_points(x, self.dim)
-        return self.time_slope * self.profile.value(x) + 0.0 * np.asarray(t, dtype=float)
+        return self.time_slope * self.profile.value(x)
 
     def is_zero(self) -> bool:
         return self.profile.name == "zero"
@@ -339,7 +340,7 @@ class VectorForm:
     lip: float = 0.0
     params: dict = field(default_factory=dict)
 
-    def value(self, x, t=0.0):
+    def value(self, x):
         x = _as_points(x, self.dim)
         return self.fn(x)
 
@@ -386,37 +387,12 @@ def vector_form(spec: dict, dim: int) -> VectorForm:
 # volatility matrix
 
 
-@dataclass(frozen=True)
-class MatrixForm:
-    """Volatility sigma(t); constant in time at desk scale."""
-
-    name: str
-    matrix: np.ndarray
-
-    def value(self, t=0.0) -> np.ndarray:
-        return self.matrix
-
-    @property
-    def dim(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def op_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
-    def diffusion(self, t=0.0) -> np.ndarray:
-        """sigma sigma^T."""
-        s = self.value(t)
-        return s @ s.T
-
-    def to_dict(self) -> dict:
-        return {"form": "constant", "params": {"matrix": self.matrix.tolist()}}
-
-
-def matrix_form(spec: dict, n: int, d: int) -> MatrixForm:
+def matrix_form(spec: dict, n: int, d: int) -> np.ndarray:
+    """The constant (n, d) volatility matrix sigma."""
     form, params = spec["form"], spec.get("params", {})
     if form == "constant":
         m = np.asarray(params["matrix"], dtype=float)
         if m.shape != (n, d):
             raise ConfigurationError(f"sigma matrix must be {n}x{d}, got {m.shape}")
-        return MatrixForm("constant", m)
+        return m
     raise ConfigurationError(f"unknown matrix form {form!r}")

@@ -44,7 +44,7 @@ class MbsModel:
 
     dim_state: int
     dim_noise: int
-    sigma: forms.MatrixForm
+    sigma: np.ndarray
     mu: forms.VectorForm
     r: forms.TimeForm
     xi: forms.TimeForm
@@ -60,10 +60,6 @@ class MbsModel:
             raise ConfigurationError("need d <= N")
         if self.T <= 0.0:
             raise ConfigurationError("maturity T must be positive")
-        if self.sigma.dim != (self.dim_state, self.dim_noise):
-            raise ConfigurationError(
-                f"sigma must be {self.dim_state}x{self.dim_noise}, got {self.sigma.dim}"
-            )
 
     # -- declared bounds -----------------------------------------------------
 
@@ -82,7 +78,7 @@ class MbsModel:
         quotient scan of the analytic Hessian, inflated 1.3x."""
         if self.h.is_zero() or self.h.profile.name == "constant":
             return 0.0
-        W = self.sigma.diffusion()
+        W = self.sigma @ self.sigma.T
         n = self.dim_state
         per_dim = {1: 4001, 2: 161, 3: 41}.get(n, 41)
         lo, hi = self.scan_box()
@@ -117,10 +113,10 @@ class MbsModel:
             "lip_hess_trace_h": self._lip_hess_trace_scan(),
             "u0_sup": ub["sup"],
             "u0_lip": ub["grad_sup"],
-            "sigma_op": self.sigma.op_norm(),
-            "sigma_tr": float(np.trace(self.sigma.diffusion())),
+            "sigma_op": float(np.linalg.norm(self.sigma, 2)),
+            "sigma_tr": float(np.trace(self.sigma @ self.sigma.T)),
             "r_max": r_max,
-            "xi_prime_sup": self.xi.deriv_sup(self.T),
+            "xi_prime_sup": abs(self.xi.slope),
         }
         # sup and spatial Lipschitz constant of the source g, bounded by parts
         b["g_sup"] = (
@@ -147,7 +143,7 @@ class MbsModel:
         return {
             "N": self.dim_state,
             "d": self.dim_noise,
-            "sigma": self.sigma.to_dict(),
+            "sigma": {"form": "constant", "params": {"matrix": self.sigma.tolist()}},
             "mu": self.mu.to_dict(),
             "r": self.r.to_dict(),
             "xi": self.xi.to_dict(),
@@ -175,7 +171,7 @@ def model_from_dict(cfg: dict) -> MbsModel:
         )
     field_of = forms.parse_field
     n, d = field_of(cfg, "N", int), field_of(cfg, "d", int)
-    return MbsModel(
+    model = MbsModel(
         dim_state=n,
         dim_noise=d,
         sigma=field_of(cfg, "sigma", lambda spec: forms.matrix_form(spec, n, d)),
@@ -188,6 +184,10 @@ def model_from_dict(cfg: dict) -> MbsModel:
         T=field_of(cfg, "T"),
         U0=field_of(cfg, "U0", lambda spec: forms.field_form(spec, n)),
     )
+    # U0 is read at t = 0 only: a slope would move the barrier constants, not the solve
+    if "time_slope" in cfg["U0"].get("params", {}):
+        raise ConfigurationError("field 'U0': the datum at t = 0 takes no 'time_slope'")
+    return model
 
 
 def load_model(path) -> MbsModel:
@@ -386,7 +386,7 @@ def validate_model(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
         return np.where(v <= 0.0, np.maximum(-v, 1e-6), -1.0)
 
     mu_x, hx, dh_x = m.mu.value(xs), m.h.value(xs, ts), m.h.grad(xs, ts)
-    u0x, xi_t = m.U0.value(xs, 0.0), m.xi(ts)
+    u0x, xi_t = m.U0.value(xs), m.xi(ts)
     v_xi = xi_t + hx + barrier_pair(m).k_lower(ts)
     excess = {
         "P1:mu-bounded": norm(mu_x) - b["mu_sup"],
@@ -396,10 +396,10 @@ def validate_model(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
         "P2:grad-h-bounded": norm(dh_x) - b["grad_h_sup"],
         "P2:grad-h-lipschitz": lipschitz(norm(dh_x - m.h.grad(ys, ts)), b["lip_grad_h"]),
         "P2:dt-h-lipschitz": lipschitz(
-            np.abs(m.h.dt(xs, ts) - m.h.dt(ys, ts)), b["lip_dt_h"]),
+            np.abs(m.h.dt(xs) - m.h.dt(ys)), b["lip_dt_h"]),
         "P3:U0-nonnegative": -u0x,
         "P3:U0-bounded": u0x - b["u0_sup"],
-        "P3:U0-lipschitz": lipschitz(np.abs(u0x - m.U0.value(ys, 0.0)), b["u0_lip"]),
+        "P3:U0-lipschitz": lipschitz(np.abs(u0x - m.U0.value(ys)), b["u0_lip"]),
         "P2:xi-positive": positive(xi_t),
         "XI:positivity": positive(v_xi),
     }
@@ -490,7 +490,7 @@ def source_g_on(m: MbsModel, x: np.ndarray) -> Callable:
     x = np.asarray(x, dtype=float)
     h = m.h
     spatial = (
-        0.5 * np.einsum("ij,...ij->...", m.sigma.diffusion(), h.hess(x))
+        0.5 * np.einsum("ij,...ij->...", m.sigma @ m.sigma.T, h.hess(x))
         + np.sum(m.mu.value(x) * h.grad(x), axis=-1)
         - m.tau * h.value(x)
     )
@@ -528,8 +528,8 @@ def dm2_hamiltonian(
         eps0 = 0.5 * u_domain[0]
     if u_domain[0] - eps0 <= 0.0 and m.rho > 0.0:
         raise ModelError("evaluation interval must stay positive when rho > 0")
-    sig = m.sigma.value()
-    W = m.sigma.diffusion()
+    sig = m.sigma
+    W = sig @ sig.T
 
     def fn(x, t, u, p, X):
         x = np.asarray(x, dtype=float)
@@ -556,7 +556,7 @@ def transformed_problem(m: MbsModel) -> tuple[HamiltonianSpec, Callable]:
     H = dm2_hamiltonian(m)
 
     def u0(x):
-        return m.U0.value(x, 0.0) + m.h.value(x, 0.0) + float(m.xi(0.0))
+        return m.U0.value(x) + m.h.value(x, 0.0) + float(m.xi(0.0))
 
     return H, u0
 
@@ -726,7 +726,7 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
     sig = b["sigma_op"]
 
     def w_fn(x, t):
-        return m.h.grad(np.asarray(x, dtype=float), t) @ m.sigma.value(t)
+        return m.h.grad(np.asarray(x, dtype=float), t) @ m.sigma
 
     if m.rho > 0.0:
         if m0 <= 0.0:
@@ -768,7 +768,7 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
         v_range = (0.0, v_max)
 
         def f_fn(x, t, v):
-            wv = m.sigma.value(t).T @ m.h.grad(np.asarray(x, dtype=float), t)
+            wv = m.sigma.T @ m.h.grad(np.asarray(x, dtype=float), t)
             return (
                 m.rho * float(wv @ wv) / (float(I(v)) * float(Ip(v)))
                 + float(source_g(m, x, t)) / float(Ip(v))

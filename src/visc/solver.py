@@ -151,13 +151,14 @@ class _MonotoneStencil:
     """The linear monotone stencil both unknowns share: per-axis diffusion,
     upwind drift and Lax-Friedrichs dissipation, plus the central gradient
     handed to the subclass's reaction term.  Its coefficients do not depend
-    on t (mu is taken at t = 0): _fold computes them once per theta, and one
-    kernel, _rhs_into, applies them in place into buffers the problem owns."""
+    on t (mu has no time argument): _fold computes them once per theta, and
+    one kernel, _rhs_into, applies them in place into buffers the problem
+    owns."""
 
     def __init__(self, model: MbsModel, grid: GridSpec):
         if grid.dim != model.dim_state:
             raise ConfigurationError("grid dimension does not match the model")
-        W = model.sigma.diffusion()
+        W = model.sigma @ model.sigma.T
         if np.max(np.abs(W - np.diag(np.diag(W)))) > 1e-14:
             raise ConfigurationError(
                 "monotone stencil requires a diagonal diffusion sigma sigma^T"
@@ -166,7 +167,7 @@ class _MonotoneStencil:
         self.grid = grid
         self.diffusion = np.diag(W)
         self.x_int = grid.points()[tuple(slice(1, -1) for _ in range(grid.dim))]
-        self.mu_int = model.mu.value(self.x_int, 0.0)
+        self.mu_int = model.mu.value(self.x_int)
         b = model.bounds()
         self.mu_sup = b["mu_sup"]
         self.r_sup = b["r_max"]
@@ -236,7 +237,7 @@ class PricingProblem(_MonotoneStencil):
         self._den, self._quad, self._react = (np.empty(self._rate.shape) for _ in range(3))
 
     def initial_values(self) -> np.ndarray:
-        return self.model.U0.value(self.grid.points(), 0.0)
+        return self.model.U0.value(self.grid.points())
 
     def _reaction(self, U: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         m = self.model
@@ -278,8 +279,7 @@ class StraightenedProblem(_MonotoneStencil):
         self.transf = transf
         self.v_lo, self.v_hi = transf.v_range
         # h = s(t) phi(x): the spatial parts on the interior nodes, once per problem
-        self.sig = model.sigma.value()
-        self.dphi_sig = model.h.grad(self.x_int) @ self.sig
+        self.dphi_sig = model.h.grad(self.x_int) @ model.sigma
         self.g_at = source_g_on(model, self.x_int)
         self.flags = {"v_range_clamped": False}
         self._react = np.empty(self._rate.shape)
@@ -303,10 +303,10 @@ class StraightenedProblem(_MonotoneStencil):
     def initial_values(self) -> np.ndarray:
         m = self.model
         pts = self.grid.points()
-        return self.transf.psi(m.U0.value(pts, 0.0) + m.h.value(pts, 0.0) + float(m.xi(0.0)))
+        return self.transf.psi(m.U0.value(pts) + m.h.value(pts, 0.0) + float(m.xi(0.0)))
 
     def _reaction(self, V: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
-        m, sig = self.model, self.sig
+        m, sig = self.model, self.model.sigma
         u, ip, ipp = self._gauge_at(V)
         ratio = np.divide(ipp, ip, out=ipp)
         sp = np.dot(grad, sig, out=self._sp)
@@ -353,8 +353,13 @@ def estimate_theta(problem) -> tuple[float, ...]:
 
 def stable_dt(problem, theta: Sequence[float]) -> float:
     """CFL bound including drift and discount contributions: with it the
-    diagonal coefficient of every node update is nonnegative."""
+    diagonal coefficient of every node update is nonnegative.  Every run
+    reaches it first, so it refuses a theta without one entry per axis."""
     g = problem.grid
+    if len(theta) != g.dim:
+        raise ConfigurationError(
+            f"field 'theta': {len(theta)} entries for a grid of dimension {g.dim}"
+        )
     dx = g.dx
     denom = sum(
         problem.diffusion[k] / dx[k] ** 2 + problem.mu_sup / dx[k] + theta[k] / dx[k]
@@ -449,6 +454,20 @@ def _march(problem, start: GridField, cfg: SchemeConfig, t_end: float) -> SolveR
     return SolveResult(fields, cfg, flags)
 
 
+def _run(problem, cfg: SchemeConfig | None, t_end: float | None) -> SolveResult:
+    """The march of solve and solve_transformed from the problem's initial
+    field at t = 0: auto_config's scheme without cfg, and t_end one step short
+    of maturity without one; a t_end outside [0, T) is refused."""
+    T = problem.model.T
+    if cfg is None:
+        cfg = auto_config(problem)
+    if t_end is None:
+        t_end = T - cfg.dt
+    if not 0.0 <= t_end < T:
+        raise ConfigurationError(f"t_end = {t_end!r} must lie in [0, maturity {T!r})")
+    return _march(problem, GridField(problem.grid, 0.0, problem.initial_values()), cfg, t_end)
+
+
 def _sandwich_annotate(model: MbsModel, pair, field_out: GridField):
     tol = 2.0 * max(field_out.grid.dx) * (1.0 + pair.K0)
     t = min(field_out.t, model.T * (1.0 - 1e-12))
@@ -476,16 +495,8 @@ def solve(
     k_lower(t) - tol <= U <= k_upper(t) + tol, tol = 2 dx (1 + K0); a
     violation is flagged, not fatal.
     """
-    problem = PricingProblem(model, grid)
-    if cfg is None:
-        cfg = auto_config(problem)
-    if t_end is None:
-        t_end = model.T - cfg.dt
-    if t_end >= model.T:
-        raise ConfigurationError(f"t_end = {t_end!r} must stay below maturity {model.T!r}")
+    result = _run(PricingProblem(model, grid), cfg, t_end)
     pair = barrier_pair(model)
-    start = GridField(grid, 0.0, problem.initial_values())
-    result = _march(problem, start, cfg, t_end)
     for f in result.fields:
         _sandwich_annotate(model, pair, f)
     return result
@@ -499,13 +510,9 @@ def solve_transformed(
     t_end: float | None = None,
     seed: int = 0,
 ) -> SolveResult:
-    """March the straightened equation in v = Psi(u) from Psi(u0); cfg, seed as in solve."""
-    problem = StraightenedProblem(model, transf, grid)
-    if cfg is None:
-        cfg = auto_config(problem)
-    if t_end is None:
-        t_end = model.T - cfg.dt
-    return _march(problem, GridField(grid, 0.0, problem.initial_values()), cfg, t_end)
+    """March the straightened equation in v = Psi(u) from Psi(u0); cfg, t_end
+    and seed as in solve."""
+    return _run(StraightenedProblem(model, transf, grid), cfg, t_end)
 
 
 def map_back(result: SolveResult, transf: Transformation) -> list[GridField]:
@@ -561,9 +568,9 @@ def mc_oracle(
 ) -> tuple[float, float]:
     """Probabilistic value of the linear (rho = 0) equation at one point.
 
-    Simulates dX_s = mu ds + sigma dW from x (running the coefficients in
-    reversed time so non-autonomous data are handled correctly; for the
-    autonomous fixtures this is the plain forward expectation) and averages
+    Simulates dX_s = mu ds + sigma dW from x (mu and sigma have no time
+    argument; only r and h depend on t, and they run in reversed time, PDE
+    time t - s at path time s) and averages
 
         e^{-int_0^t r} U0(X_t) + int_0^t e^{-int_0^s r} (tau - r) h(X_s, .) ds.
 
@@ -583,7 +590,7 @@ def mc_oracle(
     R = model.r.antiderivative
     dt = t / n_steps
     sq = math.sqrt(dt)
-    sig_T = model.sigma.value().T
+    sig_T = model.sigma.T
     pde_ts = [max(t - j * dt, 0.0) for j in range(n_steps + 1)]
 
     def disc(s: float) -> float:
@@ -606,8 +613,8 @@ def mc_oracle(
                 acc += src[j] * model.h.value(X, pde_t)
             if j < n_steps:
                 Z = rng.standard_normal((k, model.dim_noise))
-                X = X + model.mu.value(X, pde_t) * dt + np.dot(Z, sig_T) * sq
-        vals = acc + disc(t) * model.U0.value(X, 0.0)
+                X = X + model.mu.value(X) * dt + np.dot(Z, sig_T) * sq
+        vals = acc + disc(t) * model.U0.value(X)
         return float(vals.sum()), float((vals * vals).sum())
 
     n_chunks = -(-n_paths // _MC_CHUNK)

@@ -19,6 +19,15 @@ def runner():
     return CliRunner()
 
 
+def src_env() -> dict:
+    """The environment with this package's source tree first on PYTHONPATH,
+    for subprocesses."""
+    env = dict(os.environ)
+    src = str(Path(visc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def write_model(path: Path, cfg: dict) -> str:
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -241,6 +250,9 @@ class TestSolveCommand:
         ("model", {"rho": "x"}),
         ("scheme", {"theta": "x"}),
         ("grid", {"nodes": ["x"]}),
+        ("scheme", {"theta": [0.1, 5.0]}),
+        ("scheme", {"theta": []}),
+        ("model", {"U0": {"form": "constant", "params": {"value": 0.1, "time_slope": 3.0}}}),
     ])
     def test_bad_field_exits_one_naming_it(self, runner, tmp_path, which, edit):
         # a misspelt key used to be ignored, a bad value reported without its field
@@ -411,6 +423,42 @@ class TestTransformRoundtripCommand:
         assert res.exit_code == 0, res.output
 
 
+class TestCountsBelowOne:
+    @pytest.mark.parametrize("args, option", [
+        (["barriers", "--model", "MODEL", "--points", "-1"], "--points"),
+        (["barriers", "--model", "MODEL", "--points", "0"], "--points"),
+        (["transform-roundtrip", "--gauge", "mbs-exp:1,2", "--samples", "-3"], "--samples"),
+        (["transform-roundtrip", "--gauge", "mbs-exp:1,2", "--samples", "0"], "--samples"),
+    ])
+    def test_exits_one_naming_the_option(self, runner, tmp_path, args, option):
+        # a count below 1 is a configuration error, not a traceback or a pass over nothing
+        model = write_model(tmp_path / "m.json", constant_h_model())
+        args = [model if a == "MODEL" else a for a in args]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+        assert res.exit_code == 1, res.output
+        assert f"{option} must be at least 1" in res.output
+
+
+class TestScripts:
+    SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+    @pytest.mark.parametrize("script, extra, files", [
+        ("run_desk_experiment.py", ["--samples", "500"],
+         ["model.json", "fields.csv", "barriers.csv", "reports.json"]),
+        ("osgood_gallery.py", [],
+         [f"{kind}_{tag}.csv" for kind in ("flow", "scores")
+          for tag in ("xlog", "linear_1.0", "power_0.5")]),
+        ("convergence_study.py", [], ["refinement_heat.csv", "refinement_transport.csv"]),
+    ])
+    def test_runs_and_writes_its_files(self, tmp_path, script, extra, files):
+        out = subprocess.run(
+            [sys.executable, str(self.SCRIPTS / script), "--out", str(tmp_path), *extra],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert all((tmp_path / f).is_file() for f in files), sorted(os.listdir(tmp_path))
+
+
 class TestManifest:
     def test_no_unlisted_writes(self, runner, tmp_path):
         model = write_model(tmp_path / "m.json", constant_h_model())
@@ -425,12 +473,9 @@ class TestManifest:
 class TestImport:
     def test_cli_import_does_not_load_scipy(self):
         # scipy is a test-only dependency: the runtime must not import it
-        env = dict(os.environ)
-        src = str(Path(visc.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c", "import visc.cli, sys; print('scipy' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True,
+            env=src_env(), capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "False"
 

@@ -211,7 +211,7 @@ class TestDegenerateEllipticity:
 
         m = mbs.default_model()
         H = mbs.dm2_hamiltonian(m)
-        W = m.sigma.diffusion()
+        W = m.sigma @ m.sigma.T
         rng = np.random.default_rng(14)
         for _ in range(100):
             A = rng.normal(0.0, 1.0, (1, 1))

@@ -80,7 +80,7 @@ class TestForms:
         )
         x = np.array([0.0])
         assert float(f.value(x, 1.0)) == pytest.approx(3.0)
-        assert float(f.dt(x, 0.3)) == pytest.approx(1.0)
+        assert float(f.dt(x)) == pytest.approx(1.0)
 
     def test_sinusoid_mu_bounds(self):
         mu = forms.vector_form(
@@ -296,13 +296,13 @@ def loop_validate_model(m, n_samples, seed, k_lower):
     for i in range(n_samples):
         x, y, t, s = xs[i], ys[i], float(ts[i]), float(ss[i])
         dxy = float(np.linalg.norm(x - y))
-        mu_x, mu_y = m.mu.value(x, t), m.mu.value(y, t)
+        mu_x, mu_y = m.mu.value(x), m.mu.value(y)
         record("P1:mu-bounded", float(np.linalg.norm(mu_x)) - b["mu_sup"])
         hx = float(m.h.value(x, t))
         record("P2:h-nonnegative", -hx)
         record("P2:h-bounded", hx - b["h_sup"])
         record("P2:grad-h-bounded", float(np.linalg.norm(m.h.grad(x, t))) - b["grad_h_sup"])
-        u0x = float(m.U0.value(x, 0.0))
+        u0x = float(m.U0.value(x))
         record("P3:U0-nonnegative", -u0x)
         record("P3:U0-bounded", u0x - b["u0_sup"])
         if dxy > 1e-9:
@@ -311,9 +311,9 @@ def loop_validate_model(m, n_samples, seed, k_lower):
                    float(np.linalg.norm(m.h.grad(x, t) - m.h.grad(y, t))) / dxy
                    - b["lip_grad_h"])
             record("P2:dt-h-lipschitz",
-                   abs(float(m.h.dt(x, t)) - float(m.h.dt(y, t))) / dxy - b["lip_dt_h"])
+                   abs(float(m.h.dt(x)) - float(m.h.dt(y))) / dxy - b["lip_dt_h"])
             record("P3:U0-lipschitz",
-                   abs(u0x - float(m.U0.value(y, 0.0))) / dxy - b["u0_lip"])
+                   abs(u0x - float(m.U0.value(y))) / dxy - b["u0_lip"])
         if abs(t - s) > 1e-9:
             dt_rate = max(dt_rate, abs(hx - float(m.h.value(x, s))) / abs(t - s))
         xi_t = float(m.xi(t))
@@ -555,11 +555,11 @@ class TestTransformedProblem:
         rng = np.random.default_rng(2)
         xs = rng.uniform(-3.0, 3.0, (50, 2))
         ts = rng.uniform(0.0, 1.0, 50)
-        W = m.sigma.diffusion()
+        W = m.sigma @ m.sigma.T
         for k in range(50):
             x, t = xs[k], float(ts[k])
             expected = (
-                -float(m.h.dt(x, t))
+                -float(m.h.dt(x))
                 + 0.5 * float(np.sum(W * m.h.hess(x, t)))
                 + float(m.mu.value(x) @ m.h.grad(x, t))
                 - m.tau * float(m.h.value(x, t))
@@ -743,7 +743,7 @@ class TestRegularity:
         pair = mbs.barrier_pair(m)
         H = mbs.dm2_hamiltonian(m)
         Ht = transform_hamiltonian(H, mbs_exp_gauge(pair.m0, pair.M0))
-        sig = m.sigma.value(0.0)
+        sig = m.sigma
         W = sig @ sig.T
         rng = np.random.default_rng(23)
         lo, hi = Ht.u_domain
@@ -756,7 +756,7 @@ class TestRegularity:
             sp = sig.T @ p
             expected = (
                 -0.5 * float(np.trace(W @ X))
-                - float(m.mu.value(x, t) @ p)
+                - float(m.mu.value(x) @ p)
                 + rd.lambda1(v) * float(sp @ sp)
                 + rd.lambda2(v) * float(sp @ rd.w(x, t))
                 + rd.f(x, t, v)
@@ -790,7 +790,7 @@ class TestModelIO:
         m = mbs.default_model()
         m2 = mbs.model_from_dict(m.to_dict())
         assert m2.rho == m.rho
-        assert m2.sigma.matrix.tolist() == m.sigma.matrix.tolist()
+        assert m2.sigma.tolist() == m.sigma.tolist()
         x = np.array([0.4])
         assert float(m2.h.value(x, 0.2)) == float(m.h.value(x, 0.2))
 

@@ -261,8 +261,8 @@ def _serial_oracle(model, x, t, n_paths, n_steps, seed):
                         * model.h.value(X, pde_t))
             if j < n_steps:
                 Z = rng.standard_normal((k, model.dim_noise))
-                X = X + model.mu.value(X, pde_t) * dt + (Z @ model.sigma.value().T) * math.sqrt(dt)
-        vals = acc + disc(t) * model.U0.value(X, 0.0)
+                X = X + model.mu.value(X) * dt + (Z @ model.sigma.T) * math.sqrt(dt)
+        vals = acc + disc(t) * model.U0.value(X)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     mean = total / n_paths
@@ -482,6 +482,17 @@ def affine_sq_transformation(m):
     pair = mbs.barrier_pair(m)
     gauge = transform.affine_sq_gauge(2.0 / pair.m0, 1.0, (pair.m0, pair.M0))
     return transform.Transformation(gauge, margin=0.3 * pair.m0)
+
+
+class TestMaturity:
+    @pytest.mark.parametrize("t_end", [-0.5, 1.0, 1.5])
+    def test_both_solves_refuse_t_end_outside_zero_to_maturity(self, t_end):
+        m = mbs.default_model()
+        grid = small_grid(n=41)
+        with pytest.raises(ConfigurationError, match="maturity"):
+            solver.solve(m, grid, t_end=t_end)
+        with pytest.raises(ConfigurationError, match="maturity"):
+            solver.solve_transformed(m, affine_sq_transformation(m), grid, t_end=t_end)
 
 
 class TestSharedStencil:
