@@ -103,6 +103,8 @@ def _load_scheme(path: str, problem) -> solver.SchemeConfig:
             theta = parse_field(cfg, "theta", lambda th: tuple(map(float, th)))
         if dt != "auto":
             dt = parse_field(cfg, "dt")
+            if not dt > 0.0:
+                raise ConfigurationError(f"field 'dt': {dt!r} cannot march; it must be positive")
         record_every = parse_field(cfg, "record_every", int, default=100)
     if theta == "auto":
         theta = solver.estimate_theta(problem)

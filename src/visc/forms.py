@@ -59,6 +59,9 @@ class TimeForm:
     slope: float = 0.0
 
     def __call__(self, t):
+        if isinstance(t, float):
+            # the IEEE result of the array path, without its conversions
+            return self.intercept + self.slope * t
         return self.intercept + self.slope * np.asarray(t, dtype=float)
 
     def derivative(self, t):
@@ -237,6 +240,9 @@ class FieldForm:
         return self.profile.dim
 
     def time_factor(self, t):
+        if isinstance(t, float):
+            # the IEEE result of the array path, without its conversions
+            return 1.0 + self.time_slope * t
         return 1.0 + self.time_slope * np.asarray(t, dtype=float)
 
     def value(self, x, t=0.0):
@@ -245,11 +251,11 @@ class FieldForm:
 
     def grad(self, x, t=0.0):
         x = _as_points(x, self.dim)
-        return self.time_factor(t)[..., None] * self.profile.grad(x)
+        return np.asarray(self.time_factor(t))[..., None] * self.profile.grad(x)
 
     def hess(self, x, t=0.0):
         x = _as_points(x, self.dim)
-        return self.time_factor(t)[..., None, None] * self.profile.hess(x)
+        return np.asarray(self.time_factor(t))[..., None, None] * self.profile.hess(x)
 
     def dt(self, x):
         """d/dt of the field, the same at every t."""

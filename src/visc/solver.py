@@ -26,6 +26,12 @@ so the CFL bound is checked once per run.  The boundary ring is refreshed by
 constant extrapolation from the nearest interior node; the equation itself is
 posed on all of R^N, so truncation is ours, and accuracy is audited away from
 the reserved padding margin (GridSpec.audited_slice).
+
+Each run binds its field buffer to the stencil once: the coefficients folded
+for its theta, the views of the buffer every step reads and writes, and a
+cleared node-wise record of |dH/dp_k|.  A step then issues only ufuncs on
+those views, and the record is reduced into the run's max once at its end.
+A march binds once per run; public step and rhs bind once per call.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,23 +143,31 @@ class SchemeConfig:
 # problems
 
 
-def _interior(values: np.ndarray) -> np.ndarray:
-    return values[tuple(slice(1, -1) for _ in range(values.ndim))]
+class _Bound(NamedTuple):
+    """One run's binding of a field buffer to the stencil (see _bind)."""
 
-
-def _shifted(values: np.ndarray, axis: int, step: int) -> np.ndarray:
-    sl = [slice(1, -1)] * values.ndim
-    sl[axis] = slice(1 + step, values.shape[axis] - 1 + step or None)
-    return values[tuple(sl)]
+    W: np.ndarray
+    c_0: np.ndarray
+    axes: tuple
+    ring: tuple
 
 
 class _MonotoneStencil:
     """The linear monotone stencil both unknowns share: per-axis diffusion,
     upwind drift and Lax-Friedrichs dissipation, plus the central gradient
-    handed to the subclass's reaction term.  Its coefficients do not depend
-    on t (mu has no time argument): _fold computes them once per theta, and
-    one kernel, _rhs_into, applies them in place into buffers the problem
-    owns."""
+    handed to the subclass's reaction term.
+
+    Work is done as rarely as its inputs change.  Once per problem: the
+    interior nodes, mu on them and every scratch buffer.  Once per run,
+    _bind folds the coefficients for the run's theta (they do not depend on
+    t, as mu has no time argument) and binds the field buffer the run
+    updates in place: its interior view, per axis the shifted views, folded
+    coefficients, central width and gradient slot, and the (edge, inner)
+    view pairs of the boundary ring.  Per step, _advance issues only ufuncs
+    on those views, and the reaction keeps a node-wise running max of its
+    slope in the gradient; _reduce_slope folds that record into slope_sup
+    once per run.  Rounding is monotone, max fl(c x) = fl(c max x), so the
+    result equals a reduction per step."""
 
     def __init__(self, model: MbsModel, grid: GridSpec):
         if grid.dim != model.dim_state:
@@ -166,53 +180,85 @@ class _MonotoneStencil:
         self.model = model
         self.grid = grid
         self.diffusion = np.diag(W)
-        self.x_int = grid.points()[tuple(slice(1, -1) for _ in range(grid.dim))]
+        self.x_int = grid.points()[(slice(1, -1),) * grid.dim]
         self.mu_int = model.mu.value(self.x_int)
         b = model.bounds()
         self.mu_sup = b["mu_sup"]
         self.r_sup = b["r_max"]
         self.a_dx = self.diffusion / np.asarray(grid.dx)
-        # running max over nodes and steps of |dH/dp_k|, per axis
+        # max over nodes and steps of |dH/dp_k|, per axis: the node-wise
+        # record the reaction keeps, times _slope_scale
         self.slope_sup = np.zeros(grid.dim)
+        self._slope_scale = 1.0
         shape = self.x_int.shape[:-1]
         self._rate, self._tmp = np.empty(shape), np.empty(shape)
         # stored axis by axis so grad[..., k] is contiguous
-        self._grad = np.moveaxis(np.empty((grid.dim,) + shape), 0, -1)
-        self._folded: tuple = (None, None)
+        self._grad, self._slope = (np.moveaxis(np.zeros((grid.dim,) + shape), 0, -1)
+                                   for _ in range(2))
 
-    def _fold(self, theta: Sequence[float]) -> tuple:
+    def _fold(self, theta: Sequence[float]) -> tuple[list, list, np.ndarray]:
         """c_up_k = (a_k + theta_k dx_k) / 2dx_k^2 + mu_k^+ / dx_k, c_dn_k the
-        same with mu_k^-, c_0 and the central-difference widths 2 dx_k, per theta."""
-        theta = tuple(float(v) for v in theta)
-        if self._folded[0] != theta:
-            c_up, c_dn = [], []
-            for k, dx in enumerate(self.grid.dx):
-                diff = 0.5 * (self.diffusion[k] + theta[k] * dx) / dx**2
-                c_up.append(diff + np.maximum(self.mu_int[..., k], 0.0) / dx)
-                c_dn.append(diff + np.maximum(-self.mu_int[..., k], 0.0) / dx)
-            c_0 = -(sum(c_up) + sum(c_dn))
-            self._folded = (theta, (c_up, c_dn, c_0, [2.0 * dx for dx in self.grid.dx]))
-        return self._folded[1]
+        same with mu_k^-, and c_0 = -sum_k (c_up_k + c_dn_k)."""
+        c_up, c_dn = [], []
+        for k, dx in enumerate(self.grid.dx):
+            diff = 0.5 * (self.diffusion[k] + theta[k] * dx) / dx**2
+            c_up.append(diff + np.maximum(self.mu_int[..., k], 0.0) / dx)
+            c_dn.append(diff + np.maximum(-self.mu_int[..., k], 0.0) / dx)
+        return c_up, c_dn, -(sum(c_up) + sum(c_dn))
+
+    def _bind(self, values: np.ndarray, theta: Sequence[float]) -> _Bound:
+        """Bind the field buffer values for one run with dissipation theta,
+        and clear the slope record."""
+        c_up, c_dn, c_0 = self._fold(theta)
+        inner = (slice(1, -1),) * values.ndim
+        axes, ring = [], []
+        for k, dx in enumerate(self.grid.dx):
+            up, dn = list(inner), list(inner)
+            up[k], dn[k] = slice(2, None), slice(None, -2)
+            axes.append((values[tuple(up)], values[tuple(dn)], c_up[k], c_dn[k],
+                         2.0 * dx, self._grad[..., k]))
+            head = (slice(None),) * k
+            ring.append((values[head + (slice(0, 1),)], values[head + (slice(1, 2),)]))
+            ring.append((values[head + (slice(-1, None),)], values[head + (slice(-2, -1),)]))
+        self._slope.fill(0.0)
+        return _Bound(values[inner], c_0, tuple(axes), tuple(ring))
 
     def _reaction(self, W: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def _rhs_into(self, values: np.ndarray, t: float, theta, out: np.ndarray) -> np.ndarray:
-        """The right-hand side on the interior nodes, written into out."""
-        c_up, c_dn, c_0, two_dx = self._fold(theta)
-        W, tmp = _interior(values), self._tmp
+    def _rhs_into(self, run: _Bound, t: float, out: np.ndarray) -> np.ndarray:
+        """The right-hand side on the interior nodes of the bound field,
+        written into out."""
+        W, c_0, axes, _ = run
+        tmp = self._tmp
         np.multiply(c_0, W, out=out)
-        for ax in range(self.grid.dim):
-            up, dn = _shifted(values, ax, +1), _shifted(values, ax, -1)
-            out += np.multiply(c_up[ax], up, out=tmp)
-            out += np.multiply(c_dn[ax], dn, out=tmp)
-            g = np.subtract(up, dn, out=self._grad[..., ax])
-            np.divide(g, two_dx[ax], out=g)
+        for up, dn, c_up, c_dn, two_dx, g in axes:
+            out += np.multiply(c_up, up, out=tmp)
+            out += np.multiply(c_dn, dn, out=tmp)
+            np.divide(np.subtract(up, dn, out=g), two_dx, out=g)
         out += self._reaction(W, self._grad, t)
         return out
 
+    def _advance(self, run: _Bound, t: float, dt: float) -> None:
+        """One explicit Euler step of the bound field, in place: the interior
+        update (the whole rate is formed first), then the boundary ring
+        copied from its inner neighbours (what np.pad's edge mode gives,
+        corners included)."""
+        rate = self._rhs_into(run, t, self._rate)
+        np.add(run.W, np.multiply(dt, rate, out=rate), out=run.W)
+        for edge, inner in run.ring:
+            edge[...] = inner
+
+    def _reduce_slope(self) -> None:
+        """Reduce the node-wise slope record into slope_sup."""
+        node_max = self._slope.max(axis=tuple(range(self.grid.dim)))
+        np.maximum(self.slope_sup, self._slope_scale * node_max, out=self.slope_sup)
+
     def rhs(self, values: np.ndarray, t: float, theta: Sequence[float]) -> np.ndarray:
-        return self._rhs_into(values, t, theta, np.empty(self._rate.shape))
+        """The right-hand side on the interior nodes, in a fresh array."""
+        out = self._rhs_into(self._bind(values, theta), t, np.empty(self._rate.shape))
+        self._reduce_slope()
+        return out
 
 
 class PricingProblem(_MonotoneStencil):
@@ -234,6 +280,8 @@ class PricingProblem(_MonotoneStencil):
         # h = s(t) phi(x): the profile on the interior nodes, once per problem
         self.h_phi = model.h.value(self.x_int)
         self.flags = {"denominator_clamped": False}
+        # dH/dp_k = -2 rho a_k p_k / den: the reaction records |p_k| / den
+        self._slope_scale = 2.0 * model.rho * self.diffusion
         self._den, self._quad, self._react = (np.empty(self._rate.shape) for _ in range(3))
 
     def initial_values(self) -> np.ndarray:
@@ -246,10 +294,10 @@ class PricingProblem(_MonotoneStencil):
         np.multiply(m.h.time_factor(t), self.h_phi, out=den)
         np.multiply(m.tau, den, out=out)
         den += U
-        out -= np.multiply(float(m.r(t)), den, out=tmp)
+        out -= np.multiply(m.r(t), den, out=tmp)
         if m.rho > 0.0:
-            den += float(m.xi(t))
-            if den.min() < self.den_floor:
+            den += m.xi(t)
+            if np.minimum.reduce(den, axis=None) < self.den_floor:
                 self.flags["denominator_clamped"] = True
                 np.maximum(den, self.den_floor, out=den)
             # |sigma^T p|^2 = sum_k a_k p_k^2, as sigma sigma^T = diag(a)
@@ -258,10 +306,10 @@ class PricingProblem(_MonotoneStencil):
                 np.square(grad[..., ax], out=tmp)
                 quad += np.multiply(self.diffusion[ax], tmp, out=tmp)
             out -= np.divide(np.multiply(m.rho, quad, out=quad), den, out=quad)
-            # dH/dp_k = -2 rho a_k p_k / den
-            p_den = [np.abs(np.divide(grad[..., ax], den, out=tmp), out=tmp).max()
-                     for ax in range(self.grid.dim)]
-            np.maximum(self.slope_sup, 2.0 * m.rho * self.diffusion * p_den, out=self.slope_sup)
+            for ax in range(self.grid.dim):
+                p_den = np.abs(np.divide(grad[..., ax], den, out=tmp), out=tmp)
+                slope = self._slope[..., ax]
+                np.maximum(slope, p_den, out=slope)
         return out
 
 
@@ -294,7 +342,8 @@ class StraightenedProblem(_MonotoneStencil):
         self.r_sup = max(float(rate.max()), 0.0)
 
     def _gauge_at(self, v: np.ndarray):
-        if v.min() < self.v_lo or v.max() > self.v_hi:
+        if (np.minimum.reduce(v, axis=None) < self.v_lo
+                or np.maximum.reduce(v, axis=None) > self.v_hi):
             self.flags["v_range_clamped"] = True
             v = np.clip(v, self.v_lo, self.v_hi)
         u = self.transf.hermite_inverse(v)
@@ -315,14 +364,13 @@ class StraightenedProblem(_MonotoneStencil):
         # dH/dp = sigma c, c = (I''/I') sigma^T p - 2 rho num / u
         c = ratio[..., None] * sp
         c -= (2.0 * m.rho / u)[..., None] * num
-        b_max = np.abs(np.dot(c, sig.T)).reshape(-1, self.grid.dim).max(axis=0)
-        np.maximum(self.slope_sup, b_max, out=self.slope_sup)
+        np.maximum(self._slope, np.abs(np.dot(c, sig.T)), out=self._slope)
         # (I''/2I') |sigma^T p|^2 - rho |num|^2 / (u I') - (r u + g) / I'
         out, tmp = self._react, self._tmp
         np.multiply(0.5 * ratio, np.square(sp, out=sp).sum(axis=-1), out=out)
         np.multiply(u, ip, out=tmp)
         out -= np.divide(m.rho * np.square(num, out=num).sum(axis=-1), tmp, out=tmp)
-        np.add(np.multiply(float(m.r(t)), u, out=u), self.g_at(t), out=u)
+        np.add(np.multiply(m.r(t), u, out=u), self.g_at(t), out=u)
         out -= np.divide(u, ip, out=u)
         return out
 
@@ -382,29 +430,28 @@ def _check_cfl(problem, cfg: SchemeConfig):
         )
 
 
-def _advance(values: np.ndarray, t: float, problem, theta, dt: float) -> None:
-    """One explicit Euler step on values, in place: the interior update (the
-    whole rate is formed first), then the boundary ring copied from its inner
-    neighbours (what np.pad's edge mode gives, corners included)."""
-    rate = problem._rhs_into(values, t, theta, problem._rate)
-    interior = _interior(values)
-    interior += np.multiply(dt, rate, out=rate)
-    for ax in range(values.ndim):
-        head = (slice(None),) * ax
-        values[head + (0,)] = values[head + (1,)]
-        values[head + (-1,)] = values[head + (-2,)]
+def _check_finite(values: np.ndarray, step_no: int, t: float) -> None:
+    """Raise BlowUpError naming the first non-finite node of values."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        node = np.unravel_index(int(np.argmin(finite)), values.shape)
+        raise BlowUpError(step_no, float(t), tuple(int(i) for i in node))
 
 
 def step(field_in: GridField, problem, cfg: SchemeConfig) -> GridField:
-    """One explicit Euler step; the update is monotone in each neighbour."""
+    """One explicit Euler step; the update is monotone in each neighbour.
+    A step to non-finite values raises BlowUpError, as a march does."""
     if cfg.dt == 0.0:
         return GridField(field_in.grid, field_in.t, field_in.values.copy())
     if field_in.grid != problem.grid:
         raise ConfigurationError("field grid does not match the problem grid")
     _check_cfl(problem, cfg)
     values = field_in.values.copy()
-    _advance(values, field_in.t, problem, cfg.theta, cfg.dt)
-    return GridField(field_in.grid, field_in.t + cfg.dt, values)
+    problem._advance(problem._bind(values, cfg.theta), field_in.t, cfg.dt)
+    problem._reduce_slope()
+    t = field_in.t + cfg.dt
+    _check_finite(values, 1, t)
+    return GridField(field_in.grid, t, values)
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +483,16 @@ def _march(problem, start: GridField, cfg: SchemeConfig, t_end: float) -> SolveR
     problem.flags = dict.fromkeys(problem.flags, False)
     fields = [start]
     values, t = start.values.copy(), start.t
+    run = problem._bind(values, cfg.theta)
     n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
     for k in range(n_steps):
         dt = min(cfg.dt, t_end - t)
-        _advance(values, t, problem, cfg.theta, dt)
+        problem._advance(run, t, dt)
         t = t + dt
         if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-            finite = np.isfinite(values)
-            if not finite.all():
-                node = np.unravel_index(int(np.argmin(finite)), values.shape)
-                raise BlowUpError(k + 1, t, tuple(int(i) for i in node))
+            _check_finite(values, k + 1, t)
             fields.append(GridField(problem.grid, t, values.copy()))
+    problem._reduce_slope()
     flags = dict(problem.flags)
     flags["steps"] = n_steps
     flags["dH_dp_max"] = problem.slope_sup.tolist()
@@ -457,10 +503,13 @@ def _march(problem, start: GridField, cfg: SchemeConfig, t_end: float) -> SolveR
 def _run(problem, cfg: SchemeConfig | None, t_end: float | None) -> SolveResult:
     """The march of solve and solve_transformed from the problem's initial
     field at t = 0: auto_config's scheme without cfg, and t_end one step short
-    of maturity without one; a t_end outside [0, T) is refused."""
+    of maturity without one; a dt that is not positive and a t_end outside
+    [0, T) are refused."""
     T = problem.model.T
     if cfg is None:
         cfg = auto_config(problem)
+    if not cfg.dt > 0.0:
+        raise ConfigurationError(f"field 'dt': {cfg.dt!r} cannot march; it must be positive")
     if t_end is None:
         t_end = T - cfg.dt
     if not 0.0 <= t_end < T:

@@ -253,6 +253,8 @@ class TestSolveCommand:
         ("scheme", {"theta": [0.1, 5.0]}),
         ("scheme", {"theta": []}),
         ("model", {"U0": {"form": "constant", "params": {"value": 0.1, "time_slope": 3.0}}}),
+        ("scheme", {"dt": 0}),
+        ("scheme", {"dt": -1e-3}),
     ])
     def test_bad_field_exits_one_naming_it(self, runner, tmp_path, which, edit):
         # a misspelt key used to be ignored, a bad value reported without its field

@@ -82,6 +82,17 @@ class TestForms:
         assert float(f.value(x, 1.0)) == pytest.approx(3.0)
         assert float(f.dt(x)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("intercept, slope", [(0.03, 0.04), (0.1, -0.7 / 3.0), (1.0, 0.2)])
+    def test_scalar_time_matches_the_array_path(self, intercept, slope):
+        # a Python-float t skips numpy, and must round exactly as a 0-d array t
+        T = 1.7
+        r = forms.TimeForm("affine", intercept, slope)
+        h = forms.field_form({"form": "constant", "params": {"value": 1.0, "time_slope": slope}}, 1)
+        for t in np.linspace(0.0, T, 1000).tolist():
+            assert type(r(t)) is float and type(h.time_factor(t)) is float
+            assert r(t) == float(r(np.asarray(t)))
+            assert h.time_factor(t) == float(h.time_factor(np.asarray(t)))
+
     def test_sinusoid_mu_bounds(self):
         mu = forms.vector_form(
             {"form": "sinusoid", "params": {"amplitude": [0.05], "wavevector": [[2.0]]}}, 1

@@ -494,6 +494,17 @@ class TestMaturity:
         with pytest.raises(ConfigurationError, match="maturity"):
             solver.solve_transformed(m, affine_sq_transformation(m), grid, t_end=t_end)
 
+    def test_dt_that_cannot_march_is_refused(self):
+        m = mbs.default_model()
+        grid = small_grid(n=41)
+        cfg = solver.SchemeConfig(theta=(0.0,), dt=0.0)
+        for t_end in (0.5, None):
+            with pytest.raises(ConfigurationError, match="field 'dt'"):
+                solver.solve(m, grid, cfg=cfg, t_end=t_end)
+            with pytest.raises(ConfigurationError, match="field 'dt'"):
+                solver.solve_transformed(m, affine_sq_transformation(m), grid, cfg=cfg,
+                                         t_end=t_end)
+
 
 class TestSharedStencil:
     """The two problems share one stencil and differ in their reaction."""
@@ -642,11 +653,22 @@ class TestBlowUp:
         assert info.value.node == (20 - (expected - 3),)
 
 
+def time_model():
+    """The desk model with affine r, affine xi and a time slope on h."""
+    return mbs.model_from_dict({
+        **mbs.default_model().to_dict(),
+        "r": {"form": "affine", "params": {"intercept": 0.03, "slope": 0.04}},
+        "xi": {"form": "affine", "params": {"intercept": 1.0, "slope": 0.2}},
+        "h": {"form": "gaussian-bump", "params": {
+            "amplitude": 0.5, "center": [0.0], "width": 1.0, "time_slope": 0.3}},
+    })
+
+
 def _kernel_case(name):
     """A fresh problem for each in-place kernel case."""
-    m = mbs.default_model()
+    m = time_model() if name.endswith("-time") else mbs.default_model()
     box = ((-4.0, 4.0),)
-    if name == "pricing-201":
+    if name in ("pricing-201", "pricing-time"):
         return solver.PricingProblem(m, solver.GridSpec(box=box, nodes=(201,)))
     if name == "pricing-2d":
         return solver.PricingProblem(model_2d(), solver.GridSpec(box=box * 2, nodes=(41, 41)))
@@ -659,7 +681,8 @@ class TestInPlaceKernel:
     public step copies per call.  Both go through the one kernel, so their
     fields agree bit for bit."""
 
-    @pytest.mark.parametrize("case", ["pricing-201", "pricing-2d", "straightened-101"])
+    @pytest.mark.parametrize("case", ["pricing-201", "pricing-2d", "straightened-101",
+                                      "pricing-time", "straightened-time"])
     def test_march_equals_step_loop(self, case):
         from dataclasses import replace
 
@@ -747,3 +770,49 @@ class TestInPlaceKernel:
         second = solver._march(pricing, start, cfg, 5 * cfg.dt)
         assert first.flags["denominator_clamped"]
         assert second.flags["denominator_clamped"] is False
+
+
+class TestBoundRun:
+    """A solve binds its field buffer once; a public step fails like a march."""
+
+    @pytest.mark.parametrize("case", ["pricing-201", "straightened-101"])
+    def test_solve_folds_and_binds_once(self, case, monkeypatch):
+        problem = _kernel_case(case)
+        cls = type(problem)
+        calls = {"_fold": 0, "_bind": 0}
+        runs = []
+        for name in calls:
+            def counted(self, *args, _name=name, _orig=getattr(cls, name)):
+                calls[_name] += 1
+                return _orig(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        advance = cls._advance
+
+        def advance_seen(self, run, t, dt):
+            runs.append(run)
+            return advance(self, run, t, dt)
+
+        monkeypatch.setattr(cls, "_advance", advance_seen)
+        cfg = solver.SchemeConfig(theta=(0.0,), dt=1e-3)
+        if isinstance(problem, solver.PricingProblem):
+            res = solver.solve(problem.model, problem.grid, cfg=cfg, t_end=0.1)
+        else:
+            res = solver.solve_transformed(problem.model, problem.transf, problem.grid,
+                                           cfg=cfg, t_end=0.1)
+        assert res.flags["steps"] == 100
+        assert calls == {"_fold": 1, "_bind": 1}
+        assert len(runs) == 100 and all(run is runs[0] for run in runs)
+
+    def test_step_blow_up_is_not_a_configuration_error(self):
+        problem = _kernel_case("pricing-201")
+        cfg = solver.auto_config(problem)
+        values = problem.initial_values()
+        values[100] = 1e300
+        f = solver.GridField(problem.grid, 0.25, values)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+            solver.step(f, problem, cfg)
+        assert info.value.step == 1
+        assert info.value.t == 0.25 + cfg.dt
+        # the squared gradient overflows at the seeded node's neighbours, 99 first
+        assert info.value.node == (99,)
