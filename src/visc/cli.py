@@ -103,16 +103,14 @@ def _load_scheme(path: str, problem) -> solver.SchemeConfig:
             theta = parse_field(cfg, "theta", lambda th: tuple(map(float, th)))
         if dt != "auto":
             dt = parse_field(cfg, "dt")
-            if not dt > 0.0:
-                raise ConfigurationError(f"field 'dt': {dt!r} cannot march; it must be positive")
         record_every = parse_field(cfg, "record_every", int, default=100)
     if theta == "auto":
         theta = solver.estimate_theta(problem)
     with _parsing(f"scheme file {path}"):
         # stable_dt refuses a theta without one entry per grid axis
-        limit = solver.stable_dt(problem, theta)
-        return solver.SchemeConfig(theta=tuple(theta), dt=float(limit if dt == "auto" else dt),
-                                   record_every=record_every)
+        dt = solver.stable_dt(problem, theta) if dt == "auto" else dt
+        solver.check_dt(dt)
+        return solver.SchemeConfig(theta=tuple(theta), dt=float(dt), record_every=record_every)
 
 
 def _guard(fn):

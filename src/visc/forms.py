@@ -59,10 +59,7 @@ class TimeForm:
     slope: float = 0.0
 
     def __call__(self, t):
-        if isinstance(t, float):
-            # the IEEE result of the array path, without its conversions
-            return self.intercept + self.slope * t
-        return self.intercept + self.slope * np.asarray(t, dtype=float)
+        return self.intercept + self.slope * t
 
     def derivative(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.slope)
@@ -240,10 +237,7 @@ class FieldForm:
         return self.profile.dim
 
     def time_factor(self, t):
-        if isinstance(t, float):
-            # the IEEE result of the array path, without its conversions
-            return 1.0 + self.time_slope * t
-        return 1.0 + self.time_slope * np.asarray(t, dtype=float)
+        return 1.0 + self.time_slope * t
 
     def value(self, x, t=0.0):
         x = _as_points(x, self.dim)

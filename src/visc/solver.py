@@ -421,6 +421,13 @@ def auto_config(problem) -> SchemeConfig:
     return SchemeConfig(theta=theta, dt=stable_dt(problem, theta))
 
 
+def check_dt(dt: float) -> None:
+    """Refuse a march step that is not positive: a zero dt never reaches
+    t_end, and SchemeConfig keeps it only for step's identity."""
+    if not dt > 0.0:
+        raise ConfigurationError(f"field 'dt': {dt!r} cannot march; it must be positive")
+
+
 def _check_cfl(problem, cfg: SchemeConfig):
     limit = stable_dt(problem, cfg.theta)
     if cfg.dt > limit * (1.0 + 1e-12):
@@ -508,8 +515,7 @@ def _run(problem, cfg: SchemeConfig | None, t_end: float | None) -> SolveResult:
     T = problem.model.T
     if cfg is None:
         cfg = auto_config(problem)
-    if not cfg.dt > 0.0:
-        raise ConfigurationError(f"field 'dt': {cfg.dt!r} cannot march; it must be positive")
+    check_dt(cfg.dt)
     if t_end is None:
         t_end = T - cfg.dt
     if not 0.0 <= t_end < T:

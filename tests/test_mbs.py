@@ -84,7 +84,7 @@ class TestForms:
 
     @pytest.mark.parametrize("intercept, slope", [(0.03, 0.04), (0.1, -0.7 / 3.0), (1.0, 0.2)])
     def test_scalar_time_matches_the_array_path(self, intercept, slope):
-        # a Python-float t skips numpy, and must round exactly as a 0-d array t
+        # a Python-float t stays in float arithmetic, and must round exactly as a 0-d array t
         T = 1.7
         r = forms.TimeForm("affine", intercept, slope)
         h = forms.field_form({"form": "constant", "params": {"value": 1.0, "time_slope": slope}}, 1)
