@@ -21,8 +21,13 @@ default_rng(seed), then evaluates F once per side of its inequality: in one
 call for a batched spec, in a loop over the drawn rows for a pointwise one.
 The sample stream depends only on the seed and the sample count, so a
 batched spec and its pointwise form give the same report, and every report
-is reproducible bit for bit.  A pass means "no sampled counterexample above
-float noise", never a proof.
+is reproducible bit for bit.
+
+Every checker reports the same way: max_violation is the largest violation
+over the samples, worst_sample is the first sample that reaches it (ties go
+to the earliest row), as plain floats and nested lists, and the check passes
+when max_violation is at most PASS_TOL.  A pass means "no sampled
+counterexample above float noise", never a proof.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ PASS_TOL = 1e-9
 # candidates per row of the cp6 rejection sampler before it falls back to zero
 _CP6_TRIES = 200
 _MODULUS_BINS = 24
+# the sampled states x lie in [-_X_BOX, _X_BOX]^N
+_X_BOX = 2.0
 # relative size below which a difference of two F values is rounding noise
 _DIFF_NOISE = 1e-12
 
@@ -159,6 +166,16 @@ def eval_hamiltonian(
     return float(H.fn(x, t, u, p, X))
 
 
+def _check_cover(gauge: GaugeFunction, H: HamiltonianSpec) -> None:
+    """Refuse a gauge whose domain does not cover H's u-domain."""
+    (a, b), (ga, gb) = H.u_domain, gauge.domain
+    if ga > a + 1e-12 or gb < b - 1e-12:
+        raise ConfigurationError(
+            f"gauge {gauge.name} domain {gauge.domain!r} does not cover the "
+            f"Hamiltonian u-domain {H.u_domain!r}"
+        )
+
+
 def _evaluate(H: HamiltonianSpec, x, t, u, p, X) -> np.ndarray:
     """F on every row of stacked samples: one call for a batched spec, a
     loop over the rows for a pointwise one."""
@@ -177,14 +194,8 @@ def transform_hamiltonian(H: HamiltonianSpec, gauge: GaugeFunction) -> Hamiltoni
     and its evaluation interval is the Psi-image of (a - eps0/2, b + eps0/2).
     It is batched when H is.
     """
-    a, b = H.u_domain
-    ga, gb = gauge.domain
-    if ga > a + 1e-12 or gb < b - 1e-12:
-        raise ConfigurationError(
-            f"gauge {gauge.name} domain {gauge.domain!r} does not cover the "
-            f"Hamiltonian u-domain {H.u_domain!r}"
-        )
-    gauge_on_H = dataclasses.replace(gauge, domain=(a, b))
+    _check_cover(gauge, H)
+    gauge_on_H = dataclasses.replace(gauge, domain=H.u_domain)
     T = Transformation(gauge_on_H, margin=H.eps0 / 2.0)
     v_lo, v_hi = T.v_range
     m = 0.02 * (v_hi - v_lo)
@@ -290,7 +301,8 @@ def fixture(ident: str) -> HamiltonianSpec:
 # batched sampling helpers
 
 
-def _rng(n_samples: int, seed: int) -> np.random.Generator:
+def sample_rng(n_samples: int, seed: int) -> np.random.Generator:
+    """The generator of a sampled check, which needs at least one sample."""
     if n_samples < 1:
         raise PreconditionError("n_samples must be at least 1")
     return np.random.default_rng(seed)
@@ -321,18 +333,24 @@ def _clip_syms(X: np.ndarray, radius: float) -> np.ndarray:
     return X * _shrink(_spectral_norm(X), radius)[:, None, None]
 
 
-def _draw_states(rng: np.random.Generator, H: HamiltonianSpec, n: int, x_box: float = 2.0):
+def _draw_states(rng: np.random.Generator, H: HamiltonianSpec, n: int):
     lo, hi = H.eval_interval
     pad = 1e-9 * (hi - lo)
-    x = rng.uniform(-x_box, x_box, (n, H.dim_state))
+    x = rng.uniform(-_X_BOX, _X_BOX, (n, H.dim_state))
     t = rng.uniform(0.0, H.t_max * (1.0 - 1e-9), n)
     u = rng.uniform(lo + pad, hi - pad, n)
     return x, t, u
 
 
-def _sample_dict(**kw) -> dict:
-    """Plain floats and nested lists, for the JSON report."""
-    return {k: np.asarray(v).tolist() for k, v in kw.items()}
+def _report(check: str, viol, seed: int, sample: dict, holds=True, **extra) -> CheckReport:
+    """The report of one violation per sample row, by the module docstring's
+    rule.  sample names the drawn arrays, holds is a further condition of the
+    pass, and extra goes to CheckReport as it is."""
+    k = int(np.argmax(viol))
+    worst = float(viol[k])
+    sample = {name: np.asarray(v[k]).tolist() for name, v in sample.items()}
+    return CheckReport(check, len(viol), worst, sample, seed,
+                       passed=worst <= PASS_TOL and holds, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +361,7 @@ def check_degenerate_ellipticity(
     H: HamiltonianSpec, n_samples: int, seed: int
 ) -> CheckReport:
     """Sampled check of F(..., X + A^T A) <= F(..., X)."""
-    rng = _rng(n_samples, seed)
+    rng = sample_rng(n_samples, seed)
     n, N = n_samples, H.dim_state
     x, t, u = _draw_states(rng, H, n)
     p = rng.normal(0.0, 1.0, (n, N))
@@ -351,16 +369,7 @@ def check_degenerate_ellipticity(
     A = rng.normal(0.0, 1.0, (n, N, N))
     Y = np.swapaxes(A, -1, -2) @ A
     viol = _evaluate(H, x, t, u, p, X + Y) - _evaluate(H, x, t, u, p, X)
-    k = int(np.argmax(viol))
-    worst = float(viol[k])
-    return CheckReport(
-        check="degenerate-ellipticity",
-        samples_tested=n_samples,
-        max_violation=worst,
-        worst_sample=_sample_dict(x=x[k], t=t[k], u=u[k], p=p[k], X=X[k], Y=Y[k]),
-        seed=seed,
-        passed=worst <= PASS_TOL,
-    )
+    return _report("degenerate-ellipticity", viol, seed, dict(x=x, t=t, u=u, p=p, X=X, Y=Y))
 
 
 def check_gradient_modulus(
@@ -378,7 +387,7 @@ def check_gradient_modulus(
     """
     if R <= 0.0:
         raise PreconditionError("R must be positive")
-    rng = _rng(n_samples, seed)
+    rng = sample_rng(n_samples, seed)
     n, N = n_samples, H.dim_state
     x, t, u = _draw_states(rng, H, n)
     X = _clip_syms(_sym(rng.normal(0.0, R, (n, N, N))), R)
@@ -389,8 +398,9 @@ def check_gradient_modulus(
     diffs[diffs <= _DIFF_NOISE * (1.0 + np.maximum(np.abs(fp), np.abs(fq)))] = 0.0
     dists = np.linalg.norm(p - q, axis=-1)
 
-    mask = dists > 0.0
-    if not np.any(mask) or diffs.max() == 0.0:
+    mask, top = dists > 0.0, diffs.max()
+    env_list, decays = None, True
+    if not np.any(mask) or top == 0.0:
         fitted = ModulusFamily("linear", 0.0)
     else:
         edges = np.linspace(0.0, dists.max(), _MODULUS_BINS + 1)
@@ -422,24 +432,16 @@ def check_gradient_modulus(
             expo = float(min(max(slope, 1e-3), 1.0))
             coef = float((diffs[mask] / dists[mask] ** expo).max())
             fitted = ModulusFamily("power", coef, expo)
+        # a NaN difference leaves the envelope unreported
+        if not np.isnan(top):
+            if ok.any():
+                first = np.flatnonzero(ok)[0]
+                decays = bool(env[first] <= 2.0 * fitted(edges[first + 1]) + 1e-12)
+            env_list = [None if np.isnan(e) else float(e) for e in env]
 
-    excess = diffs - fitted(dists)
-    k = int(np.argmax(excess))
-    env_list = None
-    decays = True
-    if diffs.max() > 0.0 and np.any(mask):
-        first = np.flatnonzero(ok)[0] if ok.any() else None
-        if first is not None:
-            decays = bool(env[first] <= 2.0 * fitted(edges[first + 1]) + 1e-12)
-        env_list = [None if np.isnan(e) else float(e) for e in env]
-    return CheckReport(
-        check="gradient-modulus",
-        samples_tested=n_samples,
-        max_violation=float(excess[k]),
-        worst_sample=_sample_dict(x=x[k], t=t[k], u=u[k], p=p[k], q=q[k], X=X[k]),
-        seed=seed,
-        fitted_modulus=fitted,
-        passed=float(excess[k]) <= PASS_TOL and decays,
+    return _report(
+        "gradient-modulus", diffs - fitted(dists), seed, dict(x=x, t=t, u=u, p=p, q=q, X=X),
+        holds=decays, fitted_modulus=fitted,
         details={"envelope": env_list, "envelope_decays": decays},
     )
 
@@ -524,7 +526,7 @@ def check_structure_cp6(
     in a thousand accepted.
     """
     nu2, nu2R = candidate
-    rng = _rng(n_samples, seed)
+    rng = sample_rng(n_samples, seed)
     n, N = n_samples, H.dim_state
     eps2 = rng.uniform(0.0, R / 8.0, n)
     eps3 = rng.uniform(1e-6, R / 8.0, n)
@@ -553,19 +555,9 @@ def check_structure_cp6(
     lhs = _evaluate(H, x, t, u, p, X + Z) - _evaluate(H, y, t, u, p, -Y + Z)
     dxy = np.linalg.norm(x - y, axis=-1)
     allow = nu2(dxy * (np.linalg.norm(p, axis=-1) + 1.0) + eps2 * dxy**2) + nu2R(2.0 * eps3)
-    viol = -(lhs + allow)
-    k = int(np.argmax(viol))
-    worst = float(viol[k])
-    return CheckReport(
-        check="structure-cp6",
-        samples_tested=n_samples,
-        max_violation=worst,
-        worst_sample=_sample_dict(
-            x=x[k], y=y[k], t=t[k], u=u[k], p=p[k], X=X[k], Y=Y[k], Z=Z[k],
-            eps1=eps1[k], eps2=eps2[k], eps3=eps3[k],
-        ),
-        seed=seed,
-        passed=worst <= PASS_TOL,
+    return _report(
+        "structure-cp6", -(lhs + allow), seed,
+        dict(x=x, y=y, t=t, u=u, p=p, X=X, Y=Y, Z=Z, eps1=eps1, eps2=eps2, eps3=eps3),
         details={"attempts": int(tries.sum()), "accepts": int(accepted.sum())},
     )
 
@@ -592,21 +584,17 @@ def check_osgood_structure_cp7(
     The canonical choice lambda = sqrt(z(u)), kappa = z'(u)/2 at u = v gives
     exactly zero; it is always the first sample.
     """
+    _check_cover(gauge, H)
     a, b = H.u_domain
-    ga, gb = gauge.domain
-    if ga > a + 1e-12 or gb < b - 1e-12:
-        raise ConfigurationError(
-            f"gauge {gauge.name} domain {gauge.domain!r} does not cover [{a!r}, {b!r}]"
-        )
     if gamma.l < (b - a) * (1.0 - 1e-12):
         raise PreconditionError(
             f"Gamma domain [0, {gamma.l!r}] too short for u-v range up to {b - a!r}"
         )
-    rng = _rng(n_samples, seed)
+    rng = sample_rng(n_samples, seed)
     n, N = n_samples, H.dim_state
     s_lo = math.sqrt(gauge.lambda0)
     s_hi = math.sqrt(gauge.Lambda0)
-    x = rng.uniform(-2.0, 2.0, (n, N))
+    x = rng.uniform(-_X_BOX, _X_BOX, (n, N))
     t = rng.uniform(0.0, H.t_max * (1.0 - 1e-9), n)
     uv = rng.uniform(a, b, (n, 2))
     u, v = uv.max(axis=1), uv.min(axis=1)
@@ -637,19 +625,10 @@ def check_osgood_structure_cp7(
     scale = 1.0 + np.linalg.norm(q, axis=-1) + _spectral_norm(X)
     # Gamma is a scalar callable
     gam = np.array([gamma(h) for h in (u - v).tolist()])
-    viol = -(lhs + gam + candidate(dev * scale))
-    k = int(np.argmax(viol))
-    worst = float(viol[k])
-    return CheckReport(
-        check="osgood-structure-cp7",
-        samples_tested=n_samples,
-        max_violation=worst,
-        worst_sample=_sample_dict(
-            x=x[k], t=t[k], u=u[k], v=v[k], q=q[k], X=X[k],
-            lam=lam[k], lam_hat=lam_hat[k], kappa=kap[k], kappa_hat=kap_hat[k],
-        ),
-        seed=seed,
-        passed=worst <= PASS_TOL,
+    return _report(
+        "osgood-structure-cp7", -(lhs + gam + candidate(dev * scale)), seed,
+        dict(x=x, t=t, u=u, v=v, q=q, X=X, lam=lam, lam_hat=lam_hat, kappa=kap,
+             kappa_hat=kap_hat),
     )
 
 

@@ -29,7 +29,7 @@ from .errors import (
     ModelError,
     PreconditionError,
 )
-from .hamiltonian import CheckReport, HamiltonianSpec, ModulusFamily
+from .hamiltonian import CheckReport, HamiltonianSpec, ModulusFamily, sample_rng
 from .osgood import OsgoodFunction, gl_panel, refine_max
 from .transform import GaugeFunction, affine_sq_gauge
 
@@ -264,15 +264,10 @@ class BarrierPair:
     M0: float
 
 
-def _inf_source(m: MbsModel, s):
-    """inf over x of (tau - r(s)) h(x, s), elementwise in s."""
+def _source_extreme(m: MbsModel, s, inf: bool):
+    """inf (or sup) over x of (tau - r(s)) h(x, s), elementwise in s."""
     c = m.tau - m.r(s)
-    return c * np.where(c >= 0.0, m.h.inf_at(s), m.h.sup_at(s))
-
-
-def _sup_source(m: MbsModel, s):
-    c = m.tau - m.r(s)
-    return c * np.where(c >= 0.0, m.h.sup_at(s), m.h.inf_at(s))
+    return c * np.where((c >= 0.0) == inf, m.h.inf_at(s), m.h.sup_at(s))
 
 
 def _check_time(m: MbsModel, t) -> None:
@@ -301,7 +296,7 @@ def _lower_barrier_table(m: MbsModel) -> Callable:
     u0_inf = m.U0.inf_at(0.0)
 
     def integrand(s):
-        return np.exp(R(s)) * _inf_source(m, s)
+        return np.exp(R(s)) * _source_extreme(m, s, inf=True)
 
     roots = [(m.tau - m.r.intercept) / m.r.slope if m.r.slope else 0.0,
              -1.0 / m.h.time_slope if m.h.time_slope else 0.0]
@@ -328,7 +323,7 @@ def barrier_pair(m: MbsModel) -> BarrierPair:
 
     def k0_integrand(t):
         r = m.r(t)
-        return np.maximum(_sup_source(m, t) - c0 * r, 0.0) / (1.0 + t * r)
+        return np.maximum(_source_extreme(m, t, inf=False) - c0 * r, 0.0) / (1.0 + t * r)
 
     K0 = max(refine_max(k0_integrand, 0.0, m.T, 1001), 0.0)
 
@@ -360,9 +355,7 @@ def validate_model(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
     worst_sample is the first sample with the largest failing excess (with
     no failing sample, the one where xi + h + k_lower is least).
     """
-    if n_samples < 1:
-        raise PreconditionError(f"n_samples must be positive, got {n_samples}")
-    rng = np.random.default_rng(seed)
+    rng = sample_rng(n_samples, seed)
     b = m.bounds()
     lo, hi = m.scan_box()
     tol = 1e-9
@@ -440,9 +433,7 @@ def barrier_residuals(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
     upper barrier residual is K0 (1 + t r) + c0 r - (tau - r) h >= 0.
     worst_sample is the first sample with the largest sub residual.
     """
-    if n_samples < 1:
-        raise PreconditionError(f"n_samples must be positive, got {n_samples}")
-    rng = np.random.default_rng(seed)
+    rng = sample_rng(n_samples, seed)
     pair = barrier_pair(m)
     lo, hi = m.scan_box()
     n = m.dim_state
@@ -452,7 +443,7 @@ def barrier_residuals(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
     ts = m.T * (1.0 - 1e-12) * draws[:, n]
     r = m.r(ts)
     source = (m.tau - r) * m.h.value(xs, ts)
-    res_sub = _inf_source(m, ts) - source
+    res_sub = _source_extreme(m, ts, inf=True) - source
     res_super = pair.K0 * (1.0 + ts * r) + pair.c0 * r - source
     i = int(np.argmax(res_sub))
     worst_sub, worst_super = float(res_sub[i]), float(res_super.min())

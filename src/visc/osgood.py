@@ -79,24 +79,22 @@ def linear(rate: float, l: float = 1.0) -> OsgoodFunction:
     return OsgoodFunction(f"linear:{rate:g}", l, lambda h: rate * h)
 
 
-def power(exponent: float, l: float = 1.0, coefficient: float = 1.0) -> OsgoodFunction:
+def power(exponent: float, l: float = 1.0) -> OsgoodFunction:
     if not 0.0 < exponent <= 1.0:
         raise DomainError(f"power exponent must lie in (0, 1], got {exponent!r}")
     tag = OSGOOD_CLAIMED if exponent == 1.0 else NON_OSGOOD_CLAIMED
-    return OsgoodFunction(
-        f"power:{exponent:g}", l, lambda h: coefficient * h**exponent, tag
-    )
+    return OsgoodFunction(f"power:{exponent:g}", l, lambda h: h**exponent, tag)
 
 
-def from_identifier(ident: str, l: float | None = None) -> OsgoodFunction:
-    """Catalog lookup: "linear:L", "power:gamma" or "xlog"."""
+def from_identifier(ident: str) -> OsgoodFunction:
+    """Catalog lookup: "linear:L" or "power:gamma" on [0, 1], or "xlog"."""
     head, _, arg = ident.partition(":")
     if head == "xlog":
         return xlog()
     if head == "linear":
-        return linear(float(arg), l if l is not None else 1.0)
+        return linear(float(arg))
     if head == "power":
-        return power(float(arg), l if l is not None else 1.0)
+        return power(float(arg))
     raise DomainError(f"unknown Osgood catalog identifier {ident!r}")
 
 

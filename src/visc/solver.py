@@ -413,7 +413,7 @@ def stable_dt(problem, theta: Sequence[float]) -> float:
         problem.diffusion[k] / dx[k] ** 2 + problem.mu_sup / dx[k] + theta[k] / dx[k]
         for k in range(g.dim)
     ) + problem.r_sup
-    return CFL_SAFETY / denom if denom > 0.0 else CFL_SAFETY
+    return float(CFL_SAFETY / denom) if denom > 0.0 else CFL_SAFETY
 
 
 def auto_config(problem) -> SchemeConfig:

@@ -13,6 +13,7 @@ consumes it through this module.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -250,23 +251,16 @@ def exp_gauge(domain: tuple[float, float]) -> GaugeFunction:
 
 
 def mbs_exp_gauge(m0: float, M0: float) -> GaugeFunction:
-    """The affine-sq gauge z(u) = (2u/m0 - 1)^2 normalized so Psi(m0) = 0.
+    """The affine-sq gauge z(u) = (2u/m0 - 1)^2 on [m0, M0], based at m0.
 
-    With that base point the inverse is I(v) = m0 (exp(2v/m0) + 1) / 2 on
+    With Psi(m0) = 0 the inverse is I(v) = m0 (exp(2v/m0) + 1) / 2 on
     [0, (m0/2) log(2 M0/m0 - 1)], the closed form the regularity constants
     are built on.
     """
     if not 0.0 < m0 <= M0:
         raise ConfigurationError(f"need 0 < m0 <= M0, got ({m0!r}, {M0!r})")
-    lam1 = 2.0 / m0
-    return GaugeFunction(
-        f"mbs-exp:{m0:g},{M0:g}",
-        lambda u: (lam1 * u - 1.0) ** 2,
-        lambda u: 2.0 * lam1 * (lam1 * u - 1.0),
-        1.0,
-        (lam1 * M0 - 1.0) ** 2,
-        (m0, M0),
-        base_point=m0,
+    return dataclasses.replace(
+        affine_sq_gauge(2.0 / m0, 1.0, (m0, M0)), name=f"mbs-exp:{m0:g},{M0:g}", base_point=m0
     )
 
 

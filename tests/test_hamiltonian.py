@@ -6,7 +6,7 @@ import pytest
 from visc import hamiltonian as ham
 from visc import jsonio, transform
 from visc.errors import ConfigurationError, DomainError, PreconditionError
-from visc.osgood import xlog
+from visc.osgood import linear, xlog
 
 INV_E = math.exp(-1.0)
 
@@ -533,3 +533,38 @@ class TestBatchedEvaluation:
         zero = ham.ModulusFamily("linear", 0.0)
         with pytest.raises(SamplingError):
             ham.check_structure_cp6(ham.example1(), 2.0, (zero, zero), 20, seed=1)
+
+
+class TestReportRule:
+    """Every checker reports the first sample of largest violation: when all
+    samples tie, that is row 0, whatever the checker draws."""
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_ties_report_row_zero(self, batched):
+        first = []
+
+        def zero(x, t, u, p, X):
+            if not first:
+                first.append((np.copy(x), np.copy(t), np.copy(u)))
+            return np.zeros(np.shape(u)) if batched else 0.0
+
+        zero_mod = ham.ModulusFamily("linear", 0.0)
+        checks = [
+            lambda H: ham.check_degenerate_ellipticity(H, 50, seed=3),
+            lambda H: ham.check_gradient_modulus(H, 2.0, 50, seed=3),
+            lambda H: ham.check_structure_cp6(H, 2.0, (zero_mod, zero_mod), 50, seed=3),
+            lambda H: ham.check_osgood_structure_cp7(
+                H, transform.unit_gauge((0.0, 1.0)), linear(0.0), zero_mod, 2.0, 50, seed=3),
+        ]
+        for check in checks:
+            first.clear()
+            H = ham.HamiltonianSpec("zero", 2, (0.0, 1.0), 0.5, zero, batched=batched)
+            rep = check(H)
+            x, t, u = first[0]
+            if batched:
+                x, t, u = x[0], t[0], u[0]
+            assert rep.max_violation == 0.0 and rep.passed, rep.check
+            assert rep.worst_sample["x"] == x.tolist(), rep.check
+            assert rep.worst_sample["t"] == float(t), rep.check
+            assert rep.worst_sample["u"] == float(u), rep.check
+            assert all(type(v) in (float, list) for v in rep.worst_sample.values()), rep.check

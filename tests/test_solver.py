@@ -506,6 +506,17 @@ class TestMaturity:
                                          t_end=t_end)
 
 
+    def test_auto_runs_record_float_times(self):
+        m = mbs.default_model()
+        grid = small_grid(n=201)
+        for result in (solver.solve(m, grid, t_end=0.9),
+                       solver.solve_transformed(m, affine_sq_transformation(m), grid,
+                                                t_end=0.9)):
+            assert len(result.fields) > 2
+            assert [type(f.t) for f in result.fields] == [float] * len(result.fields)
+            assert type(result.cfg.dt) is float
+
+
 class TestSharedStencil:
     """The two problems share one stencil and differ in their reaction."""
 

@@ -65,6 +65,19 @@ class TestPsiInverse:
             expected = 0.5 * m0 * (math.exp(2.0 * v / m0) + 1.0)
             assert T.psi_inverse(float(v)) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("m0, M0", [(1.0, 2.0), (0.3, 1.7), (49.0, 60.0), (49.0, 49.0)])
+    def test_mbs_exp_is_affine_sq_based_at_m0(self, m0, M0):
+        # 2/m0 * m0 rounds below 2 for m0 = 49, so z(m0) is a few ulps below
+        # 1; lambda0 is that value, and m0 = M0 is a valid (flat) gauge
+        g = transform.mbs_exp_gauge(m0, M0)
+        a = transform.affine_sq_gauge(2.0 / m0, 1.0, (m0, M0))
+        us = np.linspace(m0, M0, 101)
+        assert g.name == f"mbs-exp:{m0:g},{M0:g}" and g.base_point == m0
+        assert (g.domain, g.lambda0, g.Lambda0) == (a.domain, a.lambda0, a.Lambda0)
+        assert g.lambda0 == g.z(m0) and g.Lambda0 == g.z(M0)
+        np.testing.assert_array_equal(g.z(us), a.z(us))
+        np.testing.assert_array_equal(g.z_prime(us), a.z_prime(us))
+
     def test_roundtrip_tolerance(self):
         T = shift_sq_transformation()
         rng = np.random.default_rng(5)
