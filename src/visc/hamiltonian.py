@@ -422,7 +422,8 @@ def check_gradient_modulus(
         mid_sel = (d > 0.5 * med) & (d <= med)
         L_small = float(ratios[small_sel].max()) if np.any(small_sel) else 0.0
         L_large = float(ratios[mid_sel].max()) if np.any(mid_sel) else 0.0
-        if L_small <= 2.0 * L_large or not np.any(small_sel):
+        # no finite bin (NaN in each): the linear family's NaN fails the check
+        if L_small <= 2.0 * L_large or not np.any(small_sel) or not ok.any():
             fitted = ModulusFamily("linear", float(ratios.max()))
         else:
             # exponent from the smallest-quarter bins, where the shape lives

@@ -32,6 +32,9 @@ for its theta, the views of the buffer every step reads and writes, and a
 cleared node-wise record of |dH/dp_k|.  A step then issues only ufuncs on
 those views, and the record is reduced into the run's max once at its end.
 A march binds once per run; public step and rhs bind once per call.
+The time-only arrays (functions of r(t), s(t) and xi(t) on the nodes) are
+rebuilt when those factors or the run's c_0 change, so once per run for a
+model constant in time; the pricing discount -r U sits in the diagonal c_0 - r.
 """
 
 from __future__ import annotations
@@ -167,7 +170,8 @@ class _MonotoneStencil:
     on those views, and the reaction keeps a node-wise running max of its
     slope in the gradient; _reduce_slope folds that record into slope_sup
     once per run.  Rounding is monotone, max fl(c x) = fl(c max x), so the
-    result equals a reduction per step."""
+    result equals a reduction per step.  _diagonal rebuilds the diagonal and
+    the time-only arrays by the module docstring's rule."""
 
     def __init__(self, model: MbsModel, grid: GridSpec):
         if grid.dim != model.dim_state:
@@ -195,6 +199,16 @@ class _MonotoneStencil:
         # stored axis by axis so grad[..., k] is contiguous
         self._grad, self._slope = (np.moveaxis(np.zeros((grid.dim,) + shape), 0, -1)
                                    for _ in range(2))
+        self._built = (None, None)
+
+    def _diagonal(self, c_0: np.ndarray, t: float) -> np.ndarray:
+        """The diagonal at t; _rebuild runs when c_0 or the factors change."""
+        m = self.model
+        factors = (m.r(t), m.h.time_factor(t), m.xi(t))
+        if c_0 is not self._built[0] or factors != self._built[1]:
+            self._built = (c_0, factors)
+            self._diag = self._rebuild(c_0, t, *factors)
+        return self._diag
 
     def _fold(self, theta: Sequence[float]) -> tuple[list, list, np.ndarray]:
         """c_up_k = (a_k + theta_k dx_k) / 2dx_k^2 + mu_k^+ / dx_k, c_dn_k the
@@ -231,7 +245,7 @@ class _MonotoneStencil:
         written into out."""
         W, c_0, axes, _ = run
         tmp = self._tmp
-        np.multiply(c_0, W, out=out)
+        np.multiply(self._diagonal(c_0, t), W, out=out)
         for up, dn, c_up, c_dn, two_dx, g in axes:
             out += np.multiply(c_up, up, out=tmp)
             out += np.multiply(c_dn, dn, out=tmp)
@@ -263,7 +277,8 @@ class _MonotoneStencil:
 
 class PricingProblem(_MonotoneStencil):
     """The pricing equation in the original unknown U; its reaction term is
-    -rho |sigma^T Dc U|^2 / den - r (U + h) + tau h."""
+    -rho |sigma^T Dc U|^2 / den - r (U + h) + tau h, of which -r U sits in
+    the diagonal and (tau - r) h is the source."""
 
     def __init__(self, model: MbsModel, grid: GridSpec):
         super().__init__(model, grid)
@@ -281,35 +296,37 @@ class PricingProblem(_MonotoneStencil):
         self.h_phi = model.h.value(self.x_int)
         self.flags = {"denominator_clamped": False}
         # dH/dp_k = -2 rho a_k p_k / den: the reaction records |p_k| / den
-        self._slope_scale = 2.0 * model.rho * self.diffusion
-        self._den, self._quad, self._react = (np.empty(self._rate.shape) for _ in range(3))
+        self._rho_a = model.rho * self.diffusion
+        self._slope_scale = 2.0 * self._rho_a
+        self._den, self._abs, self._react, self._diag, self._source, self._offset = (
+            np.empty(self._rate.shape) for _ in range(6))
 
     def initial_values(self) -> np.ndarray:
         return self.model.U0.value(self.grid.points())
 
+    def _rebuild(self, c_0, t, r, s, xi):
+        """Source (tau - r) h, offset h + xi of den, h = s phi; diagonal c_0 - r."""
+        np.multiply(s, self.h_phi, out=self._offset)
+        np.multiply(self.model.tau - r, self._offset, out=self._source)
+        self._offset += xi
+        return np.subtract(c_0, r, out=self._diag)
+
     def _reaction(self, U: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
-        m = self.model
-        den, quad, out, tmp = self._den, self._quad, self._react, self._tmp
-        # tau h - r (U + h), with den = h, then U + h
-        np.multiply(m.h.time_factor(t), self.h_phi, out=den)
-        np.multiply(m.tau, den, out=out)
-        den += U
-        out -= np.multiply(m.r(t), den, out=tmp)
-        if m.rho > 0.0:
-            den += m.xi(t)
-            if np.minimum.reduce(den, axis=None) < self.den_floor:
-                self.flags["denominator_clamped"] = True
-                np.maximum(den, self.den_floor, out=den)
-            # |sigma^T p|^2 = sum_k a_k p_k^2, as sigma sigma^T = diag(a)
-            np.multiply(self.diffusion[0], np.square(grad[..., 0], out=quad), out=quad)
-            for ax in range(1, self.grid.dim):
-                np.square(grad[..., ax], out=tmp)
-                quad += np.multiply(self.diffusion[ax], tmp, out=tmp)
-            out -= np.divide(np.multiply(m.rho, quad, out=quad), den, out=quad)
-            for ax in range(self.grid.dim):
-                p_den = np.abs(np.divide(grad[..., ax], den, out=tmp), out=tmp)
-                slope = self._slope[..., ax]
-                np.maximum(slope, p_den, out=slope)
+        if self.model.rho == 0.0:
+            return self._source
+        den, out, q = self._den, self._react, self._tmp
+        np.add(U, self._offset, out=den)
+        if np.minimum.reduce(den, axis=None) < self.den_floor:
+            self.flags["denominator_clamped"] = True
+            np.maximum(den, self.den_floor, out=den)
+        # rho |sigma^T p|^2 / den = sum_k rho a_k p_k q_k, q_k = p_k / den
+        for ax in range(self.grid.dim):
+            p, slope = grad[..., ax], self._slope[..., ax]
+            np.divide(p, den, out=q)
+            np.maximum(slope, np.abs(q, out=self._abs), out=slope)
+            q *= p
+            q *= self._rho_a[ax]
+            np.subtract(out if ax else self._source, q, out=out)
         return out
 
 
@@ -331,7 +348,9 @@ class StraightenedProblem(_MonotoneStencil):
         self.g_at = source_g_on(model, self.x_int)
         self.flags = {"v_range_clamped": False}
         self._react = np.empty(self._rate.shape)
-        self._sp, self._num = (np.empty(self._rate.shape + (model.dim_noise,)) for _ in range(2))
+        self._sp, self._num, self._c, self._w = (
+            np.empty(self._rate.shape + (model.dim_noise,)) for _ in range(4))
+        self._dH = np.empty(self._rate.shape + (grid.dim,))
         # stable_dt's discount: the source -(r u + g) / I'(v), u = I(v), falls in v at the
         # rate r - (r u + g) z'(u) / 2z(u); its sup over the u-range, nodes and 33 times
         u = np.linspace(*transf.u_range, 257)[:, None]
@@ -347,30 +366,39 @@ class StraightenedProblem(_MonotoneStencil):
             self.flags["v_range_clamped"] = True
             v = np.clip(v, self.v_lo, self.v_hi)
         u = self.transf.hermite_inverse(v)
-        return u, np.sqrt(self.transf.gauge.z(u)), 0.5 * self.transf.gauge.z_prime(u)
+        z, z_prime = self.transf.gauge.z(u), self.transf.gauge.z_prime(u)
+        return u, np.sqrt(z, out=z), np.multiply(0.5, z_prime, out=z_prime)
 
     def initial_values(self) -> np.ndarray:
         m = self.model
         pts = self.grid.points()
         return self.transf.psi(m.U0.value(pts) + m.h.value(pts, 0.0) + float(m.xi(0.0)))
 
+    def _rebuild(self, c_0, t, r, s, xi):
+        """The source g(t) and s(t) D phi sigma; the diagonal is c_0."""
+        self._g, self._h_sig = self.g_at(t), s * self.dphi_sig
+        return c_0
+
     def _reaction(self, V: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         m, sig = self.model, self.model.sigma
+        out, tmp = self._react, self._tmp
         u, ip, ipp = self._gauge_at(V)
         ratio = np.divide(ipp, ip, out=ipp)
         sp = np.dot(grad, sig, out=self._sp)
         num = np.multiply(ip[..., None], sp, out=self._num)
-        num -= m.h.time_factor(t) * self.dphi_sig
+        num -= self._h_sig
         # dH/dp = sigma c, c = (I''/I') sigma^T p - 2 rho num / u
-        c = ratio[..., None] * sp
-        c -= (2.0 * m.rho / u)[..., None] * num
-        np.maximum(self._slope, np.abs(np.dot(c, sig.T)), out=self._slope)
+        c = np.multiply(ratio[..., None], sp, out=self._c)
+        c -= np.multiply(np.divide(2.0 * m.rho, u, out=tmp)[..., None], num, out=self._w)
+        dH = np.dot(c, sig.T, out=self._dH)
+        np.maximum(self._slope, np.abs(dH, out=dH), out=self._slope)
         # (I''/2I') |sigma^T p|^2 - rho |num|^2 / (u I') - (r u + g) / I'
-        out, tmp = self._react, self._tmp
-        np.multiply(0.5 * ratio, np.square(sp, out=sp).sum(axis=-1), out=out)
+        np.multiply(np.multiply(0.5, ratio, out=ratio),
+                    np.sum(np.square(sp, out=sp), axis=-1, out=out), out=out)
         np.multiply(u, ip, out=tmp)
-        out -= np.divide(m.rho * np.square(num, out=num).sum(axis=-1), tmp, out=tmp)
-        np.add(np.multiply(m.r(t), u, out=u), self.g_at(t), out=u)
+        rho_num = np.sum(np.square(num, out=num), axis=-1, out=ratio)
+        out -= np.divide(np.multiply(m.rho, rho_num, out=rho_num), tmp, out=tmp)
+        np.add(np.multiply(m.r(t), u, out=u), self._g, out=u)
         out -= np.divide(u, ip, out=u)
         return out
 

@@ -568,3 +568,21 @@ class TestReportRule:
             assert rep.worst_sample["t"] == float(t), rep.check
             assert rep.worst_sample["u"] == float(u), rep.check
             assert all(type(v) in (float, list) for v in rep.worst_sample.values()), rep.check
+
+
+class TestNanModulus:
+    """An F that is NaN on enough samples leaves no envelope to fit; the
+    gradient-modulus check then reports as the other checkers do."""
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("where", ["everywhere", "p0-above-1"])
+    def test_nan_fails_the_check(self, where, dim, batched):
+        def fn(x, t, u, p, X):
+            p0 = np.asarray(p)[..., 0]
+            val = np.where(p0 > 1.0, np.nan, p0) if where == "p0-above-1" else p0 * np.nan
+            return val if batched else float(val)
+
+        H = ham.HamiltonianSpec(where, dim, (0.0, 1.0), 0.5, fn, batched=batched)
+        rep = ham.check_gradient_modulus(H, 2.0, 300, seed=1)
+        assert math.isnan(rep.max_violation) and not rep.passed

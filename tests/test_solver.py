@@ -827,3 +827,58 @@ class TestBoundRun:
         assert info.value.t == 0.25 + cfg.dt
         # the squared gradient overflows at the seeded node's neighbours, 99 first
         assert info.value.node == (99,)
+
+
+class TestTimeArrays:
+    """The time-only arrays of a step are rebuilt when r(t), s(t), xi(t) or
+    the run's bound coefficients change, and a bound step allocates no array."""
+
+    @staticmethod
+    def _want(problem, values, t):
+        # the difference form of the linear stencil plus the reaction
+        # tau h - r (U + h) - rho a p^2 / den, written out
+        m, dx = problem.model, problem.grid.dx[0]
+        a, mu = problem.diffusion[0], problem.mu_int[..., 0]
+        U, up, dn = values[1:-1], values[2:], values[:-2]
+        h = m.h.value(problem.x_int, t)
+        p = (up - dn) / (2.0 * dx)
+        den = np.maximum(U + h + m.xi(t), problem.den_floor)
+        return (0.5 * a * (up - 2.0 * U + dn) / dx**2
+                + np.maximum(mu, 0.0) * (up - U) / dx - np.maximum(-mu, 0.0) * (U - dn) / dx
+                + m.tau * h - m.r(t) * (U + h) - m.rho * a * p**2 / den)
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_rhs_follows_time(self, bound):
+        # r, xi and h all vary in time; bound reuses one binding for both times
+        grid = small_grid(n=41)
+        problem = solver.PricingProblem(time_model(), grid)
+        values = problem.initial_values() + 0.1 * np.sin(grid.points()[..., 0])
+        run = problem._bind(values, (0.0,))
+        for t in (0.1, 0.7):
+            if bound:
+                got = problem._rhs_into(run, t, np.empty(grid.nodes[0] - 2))
+            else:
+                got = problem.rhs(values, t, (0.0,))
+            assert np.max(np.abs(got - self._want(problem, values, t))) <= 1e-13
+
+    def test_new_theta_rebuilds_the_diagonal(self):
+        problem = _kernel_case("pricing-201")
+        values = problem.initial_values()
+        problem.rhs(values, 0.0, (0.0,))
+        got = problem.rhs(values, 0.0, (0.5,))
+        assert np.array_equal(got, _kernel_case("pricing-201").rhs(values, 0.0, (0.5,)))
+
+    def test_bound_step_allocates_no_array(self):
+        import tracemalloc
+
+        problem = solver.PricingProblem(mbs.default_model(), small_grid(n=1601))
+        cfg = solver.auto_config(problem)
+        run = problem._bind(problem.initial_values(), cfg.theta)
+        tracemalloc.start()
+        try:
+            for k in range(20):
+                problem._advance(run, k * cfg.dt, cfg.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < run.W.nbytes
