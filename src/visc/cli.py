@@ -151,10 +151,11 @@ def cmd_solve(model_path, grid_path, scheme_path, out_dir, t_end):
     barrier-sandwich report."""
     model = _load_model(model_path)
     grid = _load_grid(grid_path)
-    cfg = None
-    if scheme_path is not None:
-        cfg = _load_scheme(scheme_path, solver.PricingProblem(model, grid))
-    result = solver.solve(model, grid, cfg=cfg, t_end=t_end)
+    if scheme_path is None:
+        result = solver.solve(model, grid, t_end=t_end)
+    else:
+        problem = solver.PricingProblem(model, grid)
+        result = solver.solve_problem(problem, _load_scheme(scheme_path, problem), t_end)
     config = {
         "command": "solve", "model": model.to_dict(), "grid": grid_path, "t_end": t_end,
     }

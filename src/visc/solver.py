@@ -578,10 +578,18 @@ def solve(
     k_lower(t) - tol <= U <= k_upper(t) + tol, tol = 2 dx (1 + K0); a
     violation is flagged, not fatal.
     """
-    result = _run(PricingProblem(model, grid), cfg, t_end)
-    pair = barrier_pair(model)
+    return solve_problem(PricingProblem(model, grid), cfg, t_end)
+
+
+def solve_problem(
+    problem: PricingProblem, cfg: SchemeConfig | None = None, t_end: float | None = None
+) -> SolveResult:
+    """solve on a built problem, for a caller that has already sized its
+    scheme on it."""
+    result = _run(problem, cfg, t_end)
+    pair = barrier_pair(problem.model)
     for f in result.fields:
-        _sandwich_annotate(model, pair, f)
+        _sandwich_annotate(problem.model, pair, f)
     return result
 
 
@@ -639,6 +647,7 @@ def discrete_comparison(run_a: Sequence[GridField], run_b: Sequence[GridField]) 
 
 
 _MC_CHUNK = 4096
+_MC_BLOCK = 8  # steps whose normals one draw fills
 
 
 def mc_oracle(
@@ -661,7 +670,11 @@ def mc_oracle(
     (seed, chunk index), so enlarging n_paths extends the same stream family.
     The chunks run on a thread pool over the cores this process may use, and
     their sums are added in chunk order, so the result does not depend on
-    how many cores there are.
+    how many cores there are.  A chunk draws the normals of _MC_BLOCK steps
+    in one call into a buffer it owns; the generator fills it in order, so
+    the stream is that of one draw per step.  Its paths step in place,
+    X <- (X + mu dt) + sigma dW, and a drift of Lipschitz constant 0 is
+    constant, so mu(x) dt is evaluated once per call.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -669,12 +682,17 @@ def mc_oracle(
         raise PreconditionError("the probabilistic oracle requires rho = 0")
     if n_paths < 2 or n_steps < 1:
         raise PreconditionError("need n_paths >= 2 and n_steps >= 1")
+    if not 0.0 <= t < model.T:
+        raise ConfigurationError(f"t = {t!r} must lie in [0, maturity {model.T!r})")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (model.dim_state,):
+        raise ConfigurationError(f"x has shape {x.shape}, not (dim_state = {model.dim_state},)")
     R = model.r.antiderivative
     dt = t / n_steps
     sq = math.sqrt(dt)
     sig_T = model.sigma.T
     pde_ts = [max(t - j * dt, 0.0) for j in range(n_steps + 1)]
+    drift = model.mu.value(x[None, :]) * dt if model.mu.lip == 0.0 else None
 
     def disc(s: float) -> float:
         # exp(-int_0^s r(t - nu) d nu)
@@ -691,12 +709,19 @@ def mc_oracle(
         rng = np.random.default_rng([seed, c])
         X = np.tile(x, (k, 1))
         acc = np.zeros(k)
+        Zb = np.empty((_MC_BLOCK, k, model.dim_noise))
+        dW = np.empty_like(X)
         for j, pde_t in enumerate(pde_ts):
             if src is not None:
                 acc += src[j] * model.h.value(X, pde_t)
-            if j < n_steps:
-                Z = rng.standard_normal((k, model.dim_noise))
-                X = X + model.mu.value(X) * dt + np.dot(Z, sig_T) * sq
+            if j == n_steps:
+                break
+            if j % _MC_BLOCK == 0:
+                rng.standard_normal(out=Zb[:n_steps - j])
+            np.dot(Zb[j % _MC_BLOCK], sig_T, out=dW)
+            dW *= sq
+            X += model.mu.value(X) * dt if drift is None else drift
+            X += dW
         vals = acc + disc(t) * model.U0.value(X)
         return float(vals.sum()), float((vals * vals).sum())
 

@@ -202,6 +202,30 @@ class TestSolveCommand:
         )
         assert res.exit_code == 0, res.output
 
+    def test_scheme_file_builds_one_problem(self, runner, tmp_path, monkeypatch):
+        # the auto entries of the scheme file are sized on the problem the
+        # solve then marches
+        built = []
+        init = solver.PricingProblem.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(solver.PricingProblem, "__init__", counting_init)
+        model = write_model(tmp_path / "m.json", constant_h_model())
+        grid = tmp_path / "g.json"
+        grid.write_text(json.dumps({"box": [[-3.0, 3.0]], "nodes": [33]}))
+        scheme = tmp_path / "s.json"
+        scheme.write_text(json.dumps({"theta": "auto", "dt": "auto"}))
+        res = runner.invoke(
+            main,
+            ["solve", "--model", model, "--grid", str(grid), "--scheme", str(scheme),
+             "--out", str(tmp_path / "out"), "--t-end", "0.1"],
+        )
+        assert res.exit_code == 0, res.output
+        assert len(built) == 1
+
     def test_unstable_scheme_exits_one(self, runner, tmp_path):
         model = write_model(tmp_path / "m.json", constant_h_model())
         grid = tmp_path / "g.json"

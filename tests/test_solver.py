@@ -342,6 +342,67 @@ class TestMcOracle:
         assert workers[-1] == 1
 
 
+def _drift_model(mu):
+    """_source_model with the drift mu."""
+    cfg = _source_model().to_dict()
+    cfg["mu"] = mu
+    return mbs.model_from_dict(cfg)
+
+
+def _two_state_model():
+    """Two states driven by one noise, with a constant drift and a source."""
+    cfg = _source_model().to_dict()
+    cfg.update(
+        N=2, d=1,
+        sigma={"form": "constant", "params": {"matrix": [[0.8], [0.3]]}},
+        mu={"form": "constant", "params": {"vector": [0.1, -0.2]}},
+        U0={"form": "cosine", "params": {"amplitude": 0.5, "wavevector": [1.0, 0.5]}},
+    )
+    return mbs.model_from_dict(cfg)
+
+
+_ORACLE_MODELS = {
+    "constant-mu": lambda: _drift_model({"form": "constant", "params": {"vector": [0.3]}}),
+    "sinusoid-mu": lambda: _drift_model(
+        {"form": "sinusoid", "params": {"amplitude": [0.4], "wavevector": [[1.3]]}}),
+    "two-state-one-noise": _two_state_model,
+}
+
+
+class TestMcOracleBlocks:
+    @pytest.mark.parametrize("n_steps", [1, 7, 8, 9, 17])  # around the block of 8
+    @pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
+    def test_matches_serial_chunks_bit_for_bit(self, name, n_steps):
+        m = _ORACLE_MODELS[name]()
+        args = (np.full(m.dim_state, 0.2), 0.5, 2 * solver._MC_CHUNK + 5, n_steps, 3)
+        assert solver.mc_oracle(m, *args) == _serial_oracle(m, *args)
+
+    def test_memory_holds_a_block_of_normals_per_chunk(self, monkeypatch):
+        # two chunks in flight on any host; a chunk drawing all 64 steps'
+        # normals at once would hold 2 MB of them alone.  A tiny call goes
+        # first, so the modules a process's first call imports are not counted.
+        import tracemalloc
+
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        solver.mc_oracle(mbs.heat_model(), np.zeros(1), 0.5, 2, 1, 0)
+        tracemalloc.start()
+        try:
+            solver.mc_oracle(mbs.heat_model(), np.zeros(1), 0.5, 4 * solver._MC_CHUNK, 64, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+    @pytest.mark.parametrize("t", [-0.1, 1.0, 1.5])
+    def test_refuses_t_outside_the_horizon(self, t):
+        with pytest.raises(ConfigurationError, match=r"^t = .* must lie in \[0, maturity 1.0\)"):
+            solver.mc_oracle(mbs.heat_model(), np.zeros(1), t, 100, 8, seed=0)
+
+    def test_refuses_a_point_of_the_wrong_dimension(self):
+        with pytest.raises(ConfigurationError, match=r"^x has shape \(1,\), not \(dim_state = 2,\)"):
+            solver.mc_oracle(_two_state_model(), np.zeros(1), 0.5, 100, 8, seed=0)
+
+
 class TestLipschitzAudit:
     def test_heat_run_passes(self, heat_run):
         rd = mbs.regularity_constant(heat_run.model, M=1.0)
