@@ -109,7 +109,6 @@ def _load_scheme(path: str, problem) -> solver.SchemeConfig:
     with _parsing(f"scheme file {path}"):
         # stable_dt refuses a theta without one entry per grid axis
         dt = solver.stable_dt(problem, theta) if dt == "auto" else dt
-        solver.check_dt(dt)
         return solver.SchemeConfig(theta=tuple(theta), dt=float(dt), record_every=record_every)
 
 
@@ -151,11 +150,9 @@ def cmd_solve(model_path, grid_path, scheme_path, out_dir, t_end):
     barrier-sandwich report."""
     model = _load_model(model_path)
     grid = _load_grid(grid_path)
-    if scheme_path is None:
-        result = solver.solve(model, grid, t_end=t_end)
-    else:
-        problem = solver.PricingProblem(model, grid)
-        result = solver.solve_problem(problem, _load_scheme(scheme_path, problem), t_end)
+    problem = solver.PricingProblem(model, grid)
+    cfg = None if scheme_path is None else _load_scheme(scheme_path, problem)
+    result = solver.solve_problem(problem, cfg, t_end)
     config = {
         "command": "solve", "model": model.to_dict(), "grid": grid_path, "t_end": t_end,
     }

@@ -12,9 +12,8 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _encode(obj, level: int) -> str:
+    pad, pad_in = "  " * level, "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -30,21 +29,22 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_encode(v, indent, level + 1) for v in obj]
+        items = [_encode(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{json.dumps(str(k))}: {_encode(v, indent, level + 1)}"
+            f"{json.dumps(str(k))}: {_encode(v, level + 1)}"
             for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
         ]
         return "{\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return _encode(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    """obj as JSON with a two-space indent and sorted keys."""
+    return _encode(obj, 0) + "\n"
 
 
 def write_csv(path, header: list[str], rows) -> None:

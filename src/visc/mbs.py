@@ -60,6 +60,8 @@ class MbsModel:
             raise ConfigurationError("need d <= N")
         if self.T <= 0.0:
             raise ConfigurationError("maturity T must be positive")
+        if not self.rho >= 0.0:
+            raise ConfigurationError(f"field 'rho': {self.rho!r} must be nonnegative")
 
     # -- declared bounds -----------------------------------------------------
 
@@ -431,7 +433,8 @@ def barrier_residuals(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
     the closed-form derivative k_lower' = -r k_lower + inf_x[(tau - r) h]
     the residual is inf_x[(tau - r) h] - (tau - r) h(x, t) <= 0; likewise the
     upper barrier residual is K0 (1 + t r) + c0 r - (tau - r) h >= 0.
-    worst_sample is the first sample with the largest sub residual.
+    worst_sample is the first sample where the side it names reaches
+    max_violation; a tie names the sub side.
     """
     rng = sample_rng(n_samples, seed)
     pair = barrier_pair(m)
@@ -445,14 +448,15 @@ def barrier_residuals(m: MbsModel, n_samples: int, seed: int) -> CheckReport:
     source = (m.tau - r) * m.h.value(xs, ts)
     res_sub = _source_extreme(m, ts, inf=True) - source
     res_super = pair.K0 * (1.0 + ts * r) + pair.c0 * r - source
-    i = int(np.argmax(res_sub))
-    worst_sub, worst_super = float(res_sub[i]), float(res_super.min())
+    i, j = int(np.argmax(res_sub)), int(np.argmin(res_super))
+    worst_sub, worst_super = float(res_sub[i]), float(res_super[j])
+    side, k = ("super", j) if -worst_super > worst_sub else ("sub", i)
     violation = max(worst_sub, -worst_super)
     return CheckReport(
         check="barrier-residuals",
         samples_tested=n_samples,
         max_violation=violation,
-        worst_sample={"x": xs[i].tolist(), "t": float(ts[i]), "side": "sub"},
+        worst_sample={"x": xs[k].tolist(), "t": float(ts[k]), "side": side},
         seed=seed,
         passed=violation <= 1e-8,
         details={"max_residual_sub": worst_sub, "min_residual_super": worst_super},
@@ -497,28 +501,21 @@ def source_g_on(m: MbsModel, x: np.ndarray) -> Callable:
     return g
 
 
-def dm2_hamiltonian(
-    m: MbsModel, u_domain: tuple[float, float] | None = None, eps0: float | None = None
-) -> HamiltonianSpec:
+def dm2_hamiltonian(m: MbsModel) -> HamiltonianSpec:
     """The Hamiltonian of the shifted equation, in comparison orientation:
 
         F(x,t,u,p,X) = -(1/2) tr(sigma sigma^T X) - <mu, p>
-                       + rho |sigma^T p - sigma^T Dh|^2 / u + r(t) u + g(x,t).
+                       + rho |sigma^T p - sigma^T Dh|^2 / u + r(t) u + g(x,t),
 
-    Batched: evaluates stacks of samples in one call.
+    on the barrier interval u in (m0, M0) widened by eps0 = m0/2, so u stays
+    at least m0/2 > 0.  Batched: evaluates stacks of samples in one call.
     """
-    if u_domain is None:
-        pair = barrier_pair(m)
-        if pair.m0 <= 0.0:
-            raise ModelError(
-                "positivity condition fails: inf(k_lower + h + xi) = "
-                f"{pair.m0!r} <= 0, so u > 0 is not guaranteed"
-            )
-        u_domain = (pair.m0, pair.M0)
-    if eps0 is None:
-        eps0 = 0.5 * u_domain[0]
-    if u_domain[0] - eps0 <= 0.0 and m.rho > 0.0:
-        raise ModelError("evaluation interval must stay positive when rho > 0")
+    pair = barrier_pair(m)
+    if pair.m0 <= 0.0:
+        raise ModelError(
+            "positivity condition fails: inf(k_lower + h + xi) = "
+            f"{pair.m0!r} <= 0, so u > 0 is not guaranteed"
+        )
     sig = m.sigma
     W = sig @ sig.T
 
@@ -534,8 +531,8 @@ def dm2_hamiltonian(
     return HamiltonianSpec(
         name="mbs-dm2",
         dim_state=m.dim_state,
-        u_domain=u_domain,
-        eps0=eps0,
+        u_domain=(pair.m0, pair.M0),
+        eps0=0.5 * pair.m0,
         fn=fn,
         t_max=m.T,
         batched=True,

@@ -71,8 +71,11 @@ class GridSpec:
             raise ConfigurationError("need at least 8 nodes per dimension")
         if any(hi <= lo for lo, hi in self.box):
             raise ConfigurationError("box intervals must be nonempty")
-        if self.padding < 1:
-            raise ConfigurationError("padding must be at least 1")
+        if self.padding < 1 or any(2 * self.padding >= n for n in self.nodes):
+            raise ConfigurationError(
+                f"field 'padding': {self.padding} must be at least 1 and under half the "
+                f"nodes of every axis {self.nodes}, so that a node is audited"
+            )
 
     @property
     def dim(self) -> int:
@@ -127,19 +130,23 @@ class GridField:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Artificial-viscosity coefficients, time step and recording cadence."""
+    """Artificial-viscosity coefficients, time step and recording cadence.
+
+    The scheme's own rules are checked here, once: every theta_k >= 0 and
+    dt > 0 (a zero dt never reaches t_end; NaN fails both).  The CFL bound depends on the
+    problem, so each run checks it."""
 
     theta: tuple[float, ...]
     dt: float
     record_every: int = 100
 
     def __post_init__(self):
-        if any(t < 0.0 for t in self.theta):
-            raise ConfigurationError("dissipation coefficients must be nonnegative")
-        if self.dt < 0.0:
-            raise ConfigurationError("dt must be nonnegative")
+        if not all(t >= 0.0 for t in self.theta):
+            raise ConfigurationError(f"field 'theta': {self.theta!r} has a negative entry")
+        if not self.dt > 0.0:
+            raise ConfigurationError(f"field 'dt': {self.dt!r} cannot march; it must be positive")
         if self.record_every < 1:
-            raise ConfigurationError("record_every must be at least 1")
+            raise ConfigurationError(f"field 'record_every': {self.record_every} is below 1")
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +456,6 @@ def auto_config(problem) -> SchemeConfig:
     return SchemeConfig(theta=theta, dt=stable_dt(problem, theta))
 
 
-def check_dt(dt: float) -> None:
-    """Refuse a march step that is not positive: a zero dt never reaches
-    t_end, and SchemeConfig keeps it only for step's identity."""
-    if not dt > 0.0:
-        raise ConfigurationError(f"field 'dt': {dt!r} cannot march; it must be positive")
-
-
 def _check_cfl(problem, cfg: SchemeConfig):
     limit = stable_dt(problem, cfg.theta)
     if cfg.dt > limit * (1.0 + 1e-12):
@@ -474,10 +474,9 @@ def _check_finite(values: np.ndarray, step_no: int, t: float) -> None:
 
 
 def step(field_in: GridField, problem, cfg: SchemeConfig) -> GridField:
-    """One explicit Euler step; the update is monotone in each neighbour.
-    A step to non-finite values raises BlowUpError, as a march does."""
-    if cfg.dt == 0.0:
-        return GridField(field_in.grid, field_in.t, field_in.values.copy())
+    """One explicit Euler step of cfg.dt; the update is monotone in each
+    neighbour.  A step to non-finite values raises BlowUpError, as a march
+    does."""
     if field_in.grid != problem.grid:
         raise ConfigurationError("field grid does not match the problem grid")
     _check_cfl(problem, cfg)
@@ -538,12 +537,10 @@ def _march(problem, start: GridField, cfg: SchemeConfig, t_end: float) -> SolveR
 def _run(problem, cfg: SchemeConfig | None, t_end: float | None) -> SolveResult:
     """The march of solve and solve_transformed from the problem's initial
     field at t = 0: auto_config's scheme without cfg, and t_end one step short
-    of maturity without one; a dt that is not positive and a t_end outside
-    [0, T) are refused."""
+    of maturity without one; a t_end outside [0, T) is refused."""
     T = problem.model.T
     if cfg is None:
         cfg = auto_config(problem)
-    check_dt(cfg.dt)
     if t_end is None:
         t_end = T - cfg.dt
     if not 0.0 <= t_end < T:

@@ -27,7 +27,7 @@ def heat_run():
     # constant-extrapolation wall, excluded from accuracy audits
     grid = solver.GridSpec(box=((-2.0 * np.pi, 2.0 * np.pi),), nodes=(401,), padding=90)
     t0 = time.perf_counter()
-    result = solver.solve(model, grid, t_end=0.5, seed=0)
+    result = solver.solve(model, grid, t_end=0.5)
     return TimedRun(model, grid, result, time.perf_counter() - t0)
 
 
@@ -37,7 +37,7 @@ def desk_run():
     model = mbs.default_model()
     grid = solver.GridSpec(box=((-4.0, 4.0),), nodes=(201,))
     t0 = time.perf_counter()
-    result = solver.solve(model, grid, t_end=0.9, seed=0)
+    result = solver.solve(model, grid, t_end=0.9)
     return TimedRun(model, grid, result, time.perf_counter() - t0)
 
 
@@ -62,8 +62,8 @@ def change_of_variable_study():
     t0 = time.perf_counter()
     gaps = []
     for g in grids:
-        res_u = solver.solve(model, g, t_end=t_end, seed=0)
-        res_v = solver.solve_transformed(model, transf, g, t_end=t_end, seed=0)
+        res_u = solver.solve(model, g, t_end=t_end)
+        res_v = solver.solve_transformed(model, transf, g, t_end=t_end)
         u_field = res_u.final()
         pts = g.points()
         u_direct = u_field.values + model.h.value(pts, u_field.t) + float(

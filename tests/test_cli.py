@@ -279,6 +279,11 @@ class TestSolveCommand:
         ("model", {"U0": {"form": "constant", "params": {"value": 0.1, "time_slope": 3.0}}}),
         ("scheme", {"dt": 0}),
         ("scheme", {"dt": -1e-3}),
+        ("model", {"rho": -0.5}),
+        ("grid", {"padding": 17}),
+        ("scheme", {"theta": [-0.1]}),
+        ("scheme", {"record_every": 0}),
+        ("scheme", {"theta": [float("nan")]}),
     ])
     def test_bad_field_exits_one_naming_it(self, runner, tmp_path, which, edit):
         # a misspelt key used to be ignored, a bad value reported without its field
@@ -311,7 +316,7 @@ class TestSolveCommand:
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
-        monkeypatch.setattr(solver, "solve", broken)
+        monkeypatch.setattr(solver, "solve_problem", broken)
         model = write_model(tmp_path / "m.json", constant_h_model())
         grid = tmp_path / "g.json"
         grid.write_text(json.dumps({"box": [[-3.0, 3.0]], "nodes": [33]}))

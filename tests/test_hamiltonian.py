@@ -53,9 +53,11 @@ class TestEval:
                 "U0": {"form": "zero", "params": {}},
             }
         )
-        H = mbs.dm2_hamiltonian(model, u_domain=(0.5, 4.0), eps0=0.25)
-        val = ham.eval_hamiltonian(H, np.zeros(1), 0.0, 2.0, np.ones(1), np.zeros((1, 1)))
-        assert val == pytest.approx(0.8 / 2.0, rel=1e-14)
+        H = mbs.dm2_hamiltonian(model)
+        # u = 1.25 lies in the barrier interval (1, 1) widened by eps0 = 1/2
+        assert H.eval_interval == (0.5, 1.5)
+        val = ham.eval_hamiltonian(H, np.zeros(1), 0.0, 1.25, np.ones(1), np.zeros((1, 1)))
+        assert val == pytest.approx(0.8 / 1.25, rel=1e-14)
 
     def test_domain_errors(self):
         H = ham.example1()

@@ -133,6 +133,13 @@ class TestModelFile:
         with pytest.raises(ConfigurationError, match=f"field '{key}'"):
             mbs.model_from_dict(cfg)
 
+    def test_negative_rho_refused(self):
+        # the Hamiltonian, the barriers and the solver's denominator floor
+        # all assume rho >= 0
+        cfg = mbs.default_model().to_dict() | {"rho": -0.5}
+        with pytest.raises(ConfigurationError, match="field 'rho': -0.5"):
+            mbs.model_from_dict(cfg)
+
 
 class TestLowerBarrier:
     def test_zero_data_zero_barrier(self):
@@ -461,6 +468,22 @@ class TestBarrierResiduals:
         assert rep.passed
         assert rep.details["max_residual_sub"] <= 1e-8
         assert rep.details["min_residual_super"] >= -1e-8
+
+    def test_worst_sample_is_on_the_side_of_max_violation(self):
+        # with r = 0 the upper residual K0 - tau h at the bump's peak comes
+        # nearer zero than any lower residual
+        cfg = mbs.default_model().to_dict() | {
+            "h": {"form": "rational-bump", "params": {"amplitude": 0.5}},
+            "r": {"form": "constant", "params": {"value": 0.0}},
+        }
+        m = mbs.model_from_dict(cfg)
+        rep = mbs.barrier_residuals(m, 2000, seed=7)
+        assert rep.max_violation == -rep.details["min_residual_super"]
+        assert rep.max_violation > rep.details["max_residual_sub"]
+        assert rep.worst_sample["side"] == "super"
+        x, t = np.array([rep.worst_sample["x"]]), rep.worst_sample["t"]
+        residual = mbs.barrier_pair(m).K0 - m.tau * float(m.h.value(x, t)[0])
+        assert residual == pytest.approx(-rep.max_violation, rel=1e-12)
 
 
 class TestValidateModel:

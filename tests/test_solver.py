@@ -17,6 +17,17 @@ def small_grid(n=21, width=4.0):
     return solver.GridSpec(box=((-width, width),), nodes=(n,))
 
 
+class TestGridSpec:
+    def test_padding_must_leave_an_audited_node(self):
+        box = ((-1.0, 1.0),)
+        assert solver.GridSpec(box=box, nodes=(9,), padding=4).audited_slice() == (slice(4, 5),)
+        for padding in (0, 5):
+            with pytest.raises(ConfigurationError, match="field 'padding'"):
+                solver.GridSpec(box=box, nodes=(9,), padding=padding)
+        with pytest.raises(ConfigurationError, match="field 'padding'"):
+            solver.GridSpec(box=box * 2, nodes=(33, 9), padding=5)
+
+
 class TestStepReductions:
     def test_constant_field_is_ode_step(self):
         # U == c, h == 0: the stencils vanish and one step is c -> c - dt r0 c
@@ -72,14 +83,11 @@ class TestStepReductions:
         expected = slope * xs[inner] + cfg.dt * 0.5 * slope
         assert np.allclose(f1.values[inner], expected, rtol=0, atol=1e-14)
 
-    def test_zero_dt_returns_identical_field(self):
-        m = constants_model(u0=0.3)
-        grid = small_grid()
-        problem = solver.PricingProblem(m, grid)
-        f0 = solver.GridField(grid, 0.0, np.linspace(0.0, 1.0, grid.nodes[0]))
-        f1 = solver.step(f0, problem, solver.SchemeConfig(theta=(0.0,), dt=0.0))
-        assert np.array_equal(f0.values, f1.values)
-        assert f1.t == f0.t
+    def test_zero_dt_is_refused(self):
+        # a step of zero length is no step: the scheme refuses it, as a march
+        for dt in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ConfigurationError, match="field 'dt': .* must be positive"):
+                solver.SchemeConfig(theta=(0.0,), dt=dt)
 
     def test_cfl_violation_raises_before_computation(self):
         m = mbs.heat_model()
@@ -556,15 +564,13 @@ class TestMaturity:
             solver.solve_transformed(m, affine_sq_transformation(m), grid, t_end=t_end)
 
     def test_dt_that_cannot_march_is_refused(self):
-        m = mbs.default_model()
-        grid = small_grid(n=41)
-        cfg = solver.SchemeConfig(theta=(0.0,), dt=0.0)
-        for t_end in (0.5, None):
+        # neither solve can be handed one: the config refuses it when built
+        from dataclasses import replace
+
+        cfg = solver.auto_config(solver.PricingProblem(mbs.default_model(), small_grid(n=41)))
+        for dt in (0.0, -cfg.dt):
             with pytest.raises(ConfigurationError, match="field 'dt'"):
-                solver.solve(m, grid, cfg=cfg, t_end=t_end)
-            with pytest.raises(ConfigurationError, match="field 'dt'"):
-                solver.solve_transformed(m, affine_sq_transformation(m), grid, cfg=cfg,
-                                         t_end=t_end)
+                replace(cfg, dt=dt)
 
 
     def test_auto_runs_record_float_times(self):
