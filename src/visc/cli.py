@@ -316,7 +316,10 @@ def cmd_convergence(model_path, grid_paths, t_end, out_dir):
 @click.option("--point", "point_str", required=True)
 @click.option("--t", "t_probe", type=float, required=True)
 @click.option("--paths", type=int, default=200_000)
-@click.option("--steps", type=int, default=200)
+@click.option("--steps", type=int, default=200,
+              help="Euler steps per path when a state-dependent drift or a source h "
+                   "reads the path before t; with h = 0 and a constant drift each "
+                   "path takes one exact step and this is ignored.")
 @click.option("--grid", "grid_path", default=None, type=click.Path(exists=True))
 @click.option("--out", "out_dir", default=None, type=click.Path())
 @click.option("--seed", type=int, default=0)

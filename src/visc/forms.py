@@ -34,8 +34,16 @@ def parse_field(spec: dict, key: str, convert: Callable = float, default=None):
     name (a missing required key raises KeyError)."""
     try:
         return convert(spec[key] if default is None else spec.get(key, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"field {key!r}: {exc}") from exc
+
+
+def integer(value) -> int:
+    """value as an int, refusing one that is not integral (1.5, inf)."""
+    n = int(value)
+    if n != float(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return n
 
 
 def refuse_unknown(spec: dict, fields: tuple[str, ...]) -> None:
@@ -394,5 +402,7 @@ def matrix_form(spec: dict, n: int, d: int) -> np.ndarray:
         m = np.asarray(params["matrix"], dtype=float)
         if m.shape != (n, d):
             raise ConfigurationError(f"sigma matrix must be {n}x{d}, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ConfigurationError(f"sigma matrix {m.tolist()} has a non-finite entry")
         return m
     raise ConfigurationError(f"unknown matrix form {form!r}")

@@ -58,10 +58,12 @@ class MbsModel:
     def __post_init__(self):
         if self.dim_noise > self.dim_state:
             raise ConfigurationError("need d <= N")
-        if self.T <= 0.0:
-            raise ConfigurationError("maturity T must be positive")
-        if not self.rho >= 0.0:
-            raise ConfigurationError(f"field 'rho': {self.rho!r} must be nonnegative")
+        if not 0.0 < self.T < math.inf:
+            raise ConfigurationError(f"field 'T': maturity {self.T!r} must be positive and finite")
+        if not 0.0 <= self.rho < math.inf:
+            raise ConfigurationError(f"field 'rho': {self.rho!r} must be nonnegative and finite")
+        if not math.isfinite(self.tau):
+            raise ConfigurationError(f"field 'tau': {self.tau!r} must be finite")
 
     # -- declared bounds -----------------------------------------------------
 
@@ -172,7 +174,7 @@ def model_from_dict(cfg: dict) -> MbsModel:
             "model field 'bounds' is not supported: the constants are derived from the forms"
         )
     field_of = forms.parse_field
-    n, d = field_of(cfg, "N", int), field_of(cfg, "d", int)
+    n, d = field_of(cfg, "N", forms.integer), field_of(cfg, "d", forms.integer)
     model = MbsModel(
         dim_state=n,
         dim_noise=d,

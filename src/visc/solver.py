@@ -672,6 +672,12 @@ def mc_oracle(
     the stream is that of one draw per step.  Its paths step in place,
     X <- (X + mu dt) + sigma dW, and a drift of Lipschitz constant 0 is
     constant, so mu(x) dt is evaluated once per call.
+
+    With h = 0 and such a drift nothing reads X_s for s < t, and one step,
+    X_t = x + mu t + sigma sqrt(t) Z, is exact in law, so the paths take
+    that one step whatever n_steps says: the result equals the n_steps = 1
+    call bit for bit.  Otherwise n_steps is the resolution of the Euler
+    path of a state-dependent drift and of the trapezoid source integral.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -685,6 +691,9 @@ def mc_oracle(
     if x.shape != (model.dim_state,):
         raise ConfigurationError(f"x has shape {x.shape}, not (dim_state = {model.dim_state},)")
     R = model.r.antiderivative
+    if model.h.is_zero() and model.mu.lip == 0.0:
+        # nothing reads X_s for s < t, and a constant-coefficient step is exact in law
+        n_steps = 1
     dt = t / n_steps
     sq = math.sqrt(dt)
     sig_T = model.sigma.T

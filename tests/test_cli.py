@@ -284,6 +284,16 @@ class TestSolveCommand:
         ("scheme", {"theta": [-0.1]}),
         ("scheme", {"record_every": 0}),
         ("scheme", {"theta": [float("nan")]}),
+        ("model", {"T": float("nan")}),
+        ("model", {"T": float("inf")}),
+        ("model", {"T": 0.0}),
+        ("model", {"N": float("inf")}),
+        ("model", {"d": float("inf")}),
+        ("model", {"N": 1.5}),
+        ("model", {"sigma": {"form": "constant", "params": {"matrix": [[float("nan")]]}}}),
+        ("model", {"sigma": {"form": "constant", "params": {"matrix": [[float("inf")]]}}}),
+        ("model", {"rho": float("inf")}),
+        ("model", {"tau": float("nan")}),
     ])
     def test_bad_field_exits_one_naming_it(self, runner, tmp_path, which, edit):
         # a misspelt key used to be ignored, a bad value reported without its field

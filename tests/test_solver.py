@@ -321,10 +321,11 @@ class TestMcOracle:
             solver.mc_oracle(mbs.default_model(), np.zeros(1), 0.5, 100, 8, seed=0)
 
     def test_matches_serial_chunks_bit_for_bit(self):
-        # criterion 4's size: the chunks run in parallel, their sums add in order
+        # criterion 4's size: the chunks run in parallel, their sums add in
+        # order; on heat the 200-step call takes the one exact step
         m = mbs.heat_model()
-        args = (np.array([1.0]), 0.5, 200_000, 200, 11)
-        assert solver.mc_oracle(m, *args) == _serial_oracle(m, *args)
+        got = solver.mc_oracle(m, np.array([1.0]), 0.5, 200_000, 200, 11)
+        assert got == _serial_oracle(m, np.array([1.0]), 0.5, 200_000, 1, 11)
 
     def test_ragged_count_with_source_bit_for_bit(self):
         m = _source_model()
@@ -369,6 +370,13 @@ def _two_state_model():
     return mbs.model_from_dict(cfg)
 
 
+def _no_source(model):
+    """model with h = 0."""
+    cfg = model.to_dict()
+    cfg["h"] = {"form": "zero", "params": {}}
+    return mbs.model_from_dict(cfg)
+
+
 _ORACLE_MODELS = {
     "constant-mu": lambda: _drift_model({"form": "constant", "params": {"vector": [0.3]}}),
     "sinusoid-mu": lambda: _drift_model(
@@ -391,15 +399,49 @@ class TestMcOracleBlocks:
         # first, so the modules a process's first call imports are not counted.
         import tracemalloc
 
+        # The source keeps the Euler loop, which heat's one exact step skips.
+        m = _source_model()
         monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        solver.mc_oracle(mbs.heat_model(), np.zeros(1), 0.5, 2, 1, 0)
+        solver.mc_oracle(m, np.zeros(1), 0.5, 2, 1, 0)
         tracemalloc.start()
         try:
-            solver.mc_oracle(mbs.heat_model(), np.zeros(1), 0.5, 4 * solver._MC_CHUNK, 64, 0)
+            solver.mc_oracle(m, np.zeros(1), 0.5, 4 * solver._MC_CHUNK, 64, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+    @pytest.mark.parametrize("model", [mbs.heat_model, lambda: _no_source(_two_state_model())],
+                             ids=["heat", "two-state"])
+    def test_constant_coefficients_take_one_step(self, model):
+        m = model()
+        args = (np.full(m.dim_state, 0.2), 0.5, 2 * solver._MC_CHUNK + 5)
+        one = solver.mc_oracle(m, *args, 1, 3)
+        assert solver.mc_oracle(m, *args, 7, 3) == one
+        assert solver.mc_oracle(m, *args, 200, 3) == one
+
+    def test_state_dependent_drift_keeps_the_loop(self):
+        m = _no_source(_ORACLE_MODELS["sinusoid-mu"]())
+        args = (np.array([0.2]), 0.5, 2 * solver._MC_CHUNK + 5)
+        got = solver.mc_oracle(m, *args, 17, 3)
+        assert got == _serial_oracle(m, *args, 17, 3)
+        assert got != solver.mc_oracle(m, *args, 1, 3)
+
+    def test_constant_drift_matches_the_closed_form(self):
+        # U0 = A cos(k x) under X_t = x + mu t + sigma sqrt(t) Z averages to
+        # A cos(k (x + mu t)) exp(-k^2 sigma^2 t / 2)
+        A, k, mu, sig, x, t = 0.5, 1.3, 0.3, 0.8, 0.2, 0.5
+        cfg = _source_model().to_dict()
+        cfg.update(
+            h={"form": "zero", "params": {}},
+            mu={"form": "constant", "params": {"vector": [mu]}},
+            r={"form": "constant", "params": {"value": 0.0}},
+            sigma={"form": "constant", "params": {"matrix": [[sig]]}},
+            U0={"form": "cosine", "params": {"amplitude": A, "wavevector": [k]}},
+        )
+        est, se = solver.mc_oracle(mbs.model_from_dict(cfg), np.array([x]), t, 40_000, 200, 5)
+        exact = A * math.cos(k * (x + mu * t)) * math.exp(-0.5 * k * k * sig * sig * t)
+        assert abs(est - exact) <= 3.0 * se, (est, exact, se)
 
     @pytest.mark.parametrize("t", [-0.1, 1.0, 1.5])
     def test_refuses_t_outside_the_horizon(self, t):
