@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jsonio, mbs, osgood, solver
 from .errors import BlowUpError, ConfigurationError, ModelError, ViscError
-from .forms import parse_field, refuse_unknown
+from .forms import integer, parse_field, refuse_unknown
 from .hamiltonian import (
     check_degenerate_ellipticity,
     check_gradient_modulus,
@@ -89,8 +89,8 @@ def _load_grid(path: str) -> solver.GridSpec:
         refuse_unknown(cfg, ("box", "nodes", "padding"))
         return solver.GridSpec(
             box=parse_field(cfg, "box", lambda box: tuple(tuple(map(float, b)) for b in box)),
-            nodes=parse_field(cfg, "nodes", lambda nodes: tuple(map(int, nodes))),
-            padding=parse_field(cfg, "padding", int, default=2),
+            nodes=parse_field(cfg, "nodes", lambda nodes: tuple(map(integer, nodes))),
+            padding=parse_field(cfg, "padding", integer, default=2),
         )
 
 
@@ -103,7 +103,7 @@ def _load_scheme(path: str, problem) -> solver.SchemeConfig:
             theta = parse_field(cfg, "theta", lambda th: tuple(map(float, th)))
         if dt != "auto":
             dt = parse_field(cfg, "dt")
-        record_every = parse_field(cfg, "record_every", int, default=100)
+        record_every = parse_field(cfg, "record_every", integer, default=100)
     if theta == "auto":
         theta = solver.estimate_theta(problem)
     with _parsing(f"scheme file {path}"):

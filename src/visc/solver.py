@@ -372,7 +372,7 @@ class StraightenedProblem(_MonotoneStencil):
                 or np.maximum.reduce(v, axis=None) > self.v_hi):
             self.flags["v_range_clamped"] = True
             v = np.clip(v, self.v_lo, self.v_hi)
-        u = self.transf.hermite_inverse(v)
+        u = self.transf.psi_inverse(v)
         z, z_prime = self.transf.gauge.z(u), self.transf.gauge.z_prime(u)
         return u, np.sqrt(z, out=z), np.multiply(0.5, z_prime, out=z_prime)
 
@@ -606,7 +606,7 @@ def solve_transformed(
 def map_back(result: SolveResult, transf: Transformation) -> list[GridField]:
     """I(v) for every recorded v-field, giving u-scale fields."""
     return [
-        GridField(f.grid, f.t, transf.hermite_inverse(np.clip(f.values, *transf.v_range)))
+        GridField(f.grid, f.t, transf.psi_inverse(np.clip(f.values, *transf.v_range)))
         for f in result.fields
     ]
 

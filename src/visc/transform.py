@@ -5,10 +5,13 @@ increasing, so it has an inverse (written I here) with
 
     I'(v)  = sqrt(z(I(v))),        I''(v) = z'(I(v)) / 2.
 
-Psi straightens the quadratic-gradient compatibility structure of the
-Hamiltonians treated in this package; everything downstream (transformed
-Hamiltonians, the v-form of the pricing equation, the regularity constants)
-consumes it through this module.
+Every gauge of the catalog below carries a closed-form antiderivative F of
+1 / sqrt(z) and its inverse, so Psi(u) = F(u) - F(base) and
+I(v) = F^-1(v + F(base)) are exact up to rounding.  Psi straightens the
+quadratic-gradient compatibility structure of the Hamiltonians treated in
+this package; everything downstream (transformed Hamiltonians, the v-form of
+the pricing equation, the regularity constants) consumes it through this
+module.
 """
 
 from __future__ import annotations
@@ -21,20 +24,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, RangeError
-from .osgood import gl_panel
-
-_TABLE_NODES = 4097
-# from linear interpolation in a table bracket, Newton's quadratic
-# convergence reaches double precision in two steps; a third is margin
-_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
 class GaugeFunction:
     """A positive gauge z with derivative and bounds on a working interval.
 
-    z and z_prime are elementwise: a float gives a float, an array an array
-    of the same shape.
+    F is an antiderivative of 1/sqrt(z) and F_inv its inverse.  z, z_prime,
+    F and F_inv are elementwise: a float gives a float, an array an array of
+    the same shape.
     """
 
     name: str
@@ -43,6 +41,8 @@ class GaugeFunction:
     lambda0: float
     Lambda0: float
     domain: tuple[float, float]
+    F: Callable[[np.ndarray], np.ndarray]
+    F_inv: Callable[[np.ndarray], np.ndarray]
     # base point override for Psi; None means lower-edge default
     base_point: float | None = None
 
@@ -58,135 +58,70 @@ class GaugeFunction:
 class Transformation:
     """Psi, its inverse and the derivative identities, for one gauge.
 
-    One table on 4097 equally spaced nodes u_k holds Psi(u_k), accumulated by
-    a fixed Gauss-Legendre rule per table panel, and the exact slopes
-    I'(Psi(u_k)) = sqrt(z(u_k)).  Between nodes Psi is the table value plus
-    the same rule on the remaining sub-panel.  The inverse starts from
-    linear interpolation in the table bracket and takes Newton steps with the
-    exact derivative Psi' = 1/sqrt(z), each kept inside the bracket; the
-    grid-sweep interpolant is the cubic Hermite interpolant of I through the
-    table with the exact slopes.  Psi and its inverse take a float or an
-    array and return the same shape.  Immutable after construction.
+    The gauge's domain widened by margin on each side is the u-range; it
+    must keep z positive and F finite.  Psi and its inverse come from the
+    gauge's closed forms F and F_inv, take a float or an array and return
+    the same shape.  inverse_interpolant returns psi_inverse; the name stays
+    for the benchmark that calls it.  Immutable after construction.
     """
 
     gauge: GaugeFunction
     margin: float
     base_point: float = field(init=False)
-    _u_table: np.ndarray = field(init=False, repr=False)
-    _psi_table: np.ndarray = field(init=False, repr=False)
-    # per-panel Hermite coefficients of I in powers of v - Psi(u_k), shape (4, 4096)
-    _hermite: np.ndarray = field(init=False, repr=False)
+    u_range: tuple[float, float] = field(init=False)
+    v_range: tuple[float, float] = field(init=False)
+    _F_base: float = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b = self.gauge.domain
-        if self.margin < 0.0:
-            raise ConfigurationError(f"margin must be nonnegative, got {self.margin!r}")
+        if not 0.0 <= self.margin < math.inf:
+            raise ConfigurationError(
+                f"margin must be finite and nonnegative, got {self.margin!r}"
+            )
         lo, hi = a - self.margin, b + self.margin
         base = self.gauge.base_point if self.gauge.base_point is not None else lo
         if not lo <= base <= hi:
             raise ConfigurationError(
                 f"base point {base!r} outside transformation domain ({lo!r}, {hi!r})"
             )
-        self.base_point = base
-        us = np.linspace(lo, hi, _TABLE_NODES)
-        zs = self.gauge.z(us)
-        if np.any(zs <= 0.0):
-            bad = us[int(np.argmin(zs))]
+        with np.errstate(all="ignore"):
+            F_ends = self.gauge.F(np.array([lo, hi]))
+            zs = self.gauge.z(np.linspace(lo, hi, 257))
+        if not (np.all(np.isfinite(F_ends)) and np.all(zs > 0.0)):
             raise ConfigurationError(
-                f"gauge {self.gauge.name} is not positive near u = {bad!r}; "
-                "gauges must stay bounded away from zero on the domain"
+                f"gauge {self.gauge.name} is not positive with an integrable "
+                f"1/sqrt(z) on the margined domain [{lo!r}, {hi!r}] (margin {self.margin!r})"
             )
-        # accumulate panel integrals, then shift so Psi(base_point) = 0
-        self._u_table = us
-        self._psi_table = np.concatenate(([0.0], np.cumsum(self._panel(us[:-1], us[1:]))))
-        self._psi_table -= self.psi(base)
-        slopes, h = np.sqrt(zs), np.diff(self._psi_table)
-        secant = np.diff(us) / h
-        c2 = (3.0 * secant - 2.0 * slopes[:-1] - slopes[1:]) / h
-        c3 = (slopes[:-1] + slopes[1:] - 2.0 * secant) / (h * h)
-        self._hermite = np.stack((us[:-1], slopes[:-1], c2, c3))
-
-    def _panel(self, a, b):
-        """Integral of 1/sqrt(z) from a to b, elementwise, by one Gauss-Legendre rule."""
-        return gl_panel(lambda u: 1.0 / np.sqrt(self.gauge.z(u)), a, b)
-
-    def _psi_at(self, k, u):
-        """Psi(u) for u in table panel k, i.e. between nodes k and k + 1."""
-        return self._psi_table[k] + self._panel(self._u_table[k], u)
-
-    @property
-    def u_range(self) -> tuple[float, float]:
-        return float(self._u_table[0]), float(self._u_table[-1])
-
-    @property
-    def v_range(self) -> tuple[float, float]:
-        return float(self._psi_table[0]), float(self._psi_table[-1])
+        self.base_point, self.u_range = base, (lo, hi)
+        self._F_base = float(self.gauge.F(base))
+        self.v_range = (float(F_ends[0]) - self._F_base, float(F_ends[1]) - self._F_base)
 
     def psi(self, u):
-        """Psi(u): the integral of 1/sqrt(z) from the base point to u."""
+        """Psi(u) = F(u) - F(base point)."""
         lo, hi = self.u_range
         uu = np.asarray(u, dtype=float)
         if not np.all((lo <= uu) & (uu <= hi)):
-            raise DomainError(
-                f"u = {u!r} outside transformation domain [{lo!r}, {hi!r}]"
-            )
-        k = np.clip(np.searchsorted(self._u_table, uu) - 1, 0, _TABLE_NODES - 2)
-        return _like(u, self._psi_at(k, uu))
+            raise DomainError(f"u = {u!r} outside transformation domain [{lo!r}, {hi!r}]")
+        return _like(u, self.gauge.F(uu) - self._F_base)
 
     def psi_inverse(self, v):
-        """I(v): table bracketing, then Newton steps safeguarded by the bracket."""
+        """I(v) = F_inv(v + F(base point)).  A v within 1e-12 of v_range is
+        clipped onto it, and the result onto u_range."""
         vlo, vhi = self.v_range
         vv = np.asarray(v, dtype=float)
         if not np.all((vlo - 1e-12 <= vv) & (vv <= vhi + 1e-12)):
             raise RangeError(f"v = {v!r} outside Psi range [{vlo!r}, {vhi!r}]")
-        vv = np.clip(vv, vlo, vhi)
-        k = self._bracket(vv)
-        a, b = self._u_table[k], self._u_table[k + 1]
-        fa, fb = self._psi_table[k], self._psi_table[k + 1]
-        u = a + (vv - fa) / (fb - fa) * (b - a)
-        for _ in range(_NEWTON_STEPS):
-            u = np.clip(u - (self._psi_at(k, u) - vv) * np.sqrt(self.gauge.z(u)), a, b)
-        return _like(v, u)
+        u = self.gauge.F_inv(np.clip(vv, vlo, vhi) + self._F_base)
+        return _like(v, np.clip(u, *self.u_range))
 
     def inverse_derivatives(self, v):
         """(I'(v), I''(v)) = (sqrt(z(I(v))), z'(I(v)) / 2)."""
         u = self.psi_inverse(v)
         return _like(v, np.sqrt(self.gauge.z(u))), _like(v, 0.5 * self.gauge.z_prime(u))
 
-    def _bracket(self, v):
-        """Index k of the table panel [Psi(u_k), Psi(u_k+1)] holding v; the
-        end panels take the values beyond the table."""
-        return np.searchsorted(self._psi_table[1:-1], v)
-
-    def hermite_inverse(self, v: np.ndarray) -> np.ndarray:
-        """The cubic Hermite interpolant of I at v, unchecked: v must lie in
-        v_range.  inverse_interpolant is the checked form."""
-        k = self._bracket(v)
-        c0, c1, c2, c3 = self._hermite[:, k]
-        d = v - self._psi_table[k]
-        return c0 + d * (c1 + d * (c2 + d * c3))
-
     def inverse_interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized cubic Hermite approximation of I, for grid sweeps.
-
-        Interpolates the table values u_k at Psi(u_k) with the exact slopes
-        sqrt(z(u_k)); its error is far below the solver tolerances it
-        serves.  psi_inverse remains the reference implementation.  A query
-        within 1e-9 of v_range is clipped onto it; one further out raises
-        RangeError.
-        """
-        vlo, vhi = self.v_range
-
-        def inv(v: np.ndarray) -> np.ndarray:
-            v = np.asarray(v, dtype=float)
-            lo, hi = v.min(), v.max()
-            if lo < vlo or hi > vhi:
-                if lo < vlo - 1e-9 or hi > vhi + 1e-9:
-                    raise RangeError("interpolated inverse queried outside Psi range")
-                v = np.clip(v, vlo, vhi)
-            return self.hermite_inverse(v)
-
-        return inv
+        """psi_inverse itself."""
+        return self.psi_inverse
 
 
 def _like(arg, value):
@@ -200,7 +135,8 @@ def _like(arg, value):
 
 def unit_gauge(domain: tuple[float, float] = (0.0, 1.0)) -> GaugeFunction:
     return GaugeFunction(
-        "unit", lambda u: 1.0 + 0.0 * u, lambda u: 0.0 * u, 1.0, 1.0, domain
+        "unit", lambda u: 1.0 + 0.0 * u, lambda u: 0.0 * u, 1.0, 1.0, domain,
+        lambda u: u, lambda y: y,
     )
 
 
@@ -216,11 +152,14 @@ def shift_sq_gauge(domain: tuple[float, float]) -> GaugeFunction:
         (a + 1.0) ** 2,
         (b + 1.0) ** 2,
         domain,
+        np.log1p,
+        np.expm1,
     )
 
 
 def affine_sq_gauge(lam1: float, lam2: float, domain: tuple[float, float]) -> GaugeFunction:
-    """z(u) = (lam1*u - lam2)^2 with lam1*a > lam2 > 0 on the domain."""
+    """z(u) = (lam1*u - lam2)^2 with lam1*a > lam2 > 0 on the domain;
+    F(u) = log(lam1*u - lam2) / lam1."""
     a, b = domain
     if not (lam2 > 0.0 and lam1 * a > lam2):
         raise ConfigurationError(
@@ -234,6 +173,8 @@ def affine_sq_gauge(lam1: float, lam2: float, domain: tuple[float, float]) -> Ga
         (lam1 * a - lam2) ** 2,
         (lam1 * b - lam2) ** 2,
         domain,
+        lambda u: np.log(lam1 * u - lam2) / lam1,
+        lambda y: (lam2 + np.exp(lam1 * y)) / lam1,
     )
 
 
@@ -247,6 +188,8 @@ def exp_gauge(domain: tuple[float, float]) -> GaugeFunction:
         math.exp(-2.0 * b),
         math.exp(-2.0 * a),
         domain,
+        np.exp,
+        np.log,
     )
 
 
@@ -265,11 +208,17 @@ def mbs_exp_gauge(m0: float, M0: float) -> GaugeFunction:
 
 
 def arctan_gauge(beta: float, domain: tuple[float, float]) -> GaugeFunction:
-    """z(u) = (u^2+1)^2 (beta - arctan(u)^2 / 2)^2, requiring 8 beta > pi^2."""
+    """z(u) = (u^2+1)^2 (beta - arctan(u)^2 / 2)^2, requiring 8 beta > pi^2.
+
+    With w = arctan(u), 1/sqrt(z) du = dw / (beta - w^2/2); for
+    c = sqrt(2 beta) that gives F(u) = (2/c) artanh(arctan(u) / c), whose
+    argument stays inside (-1, 1) because |arctan(u)| < pi/2 < c.
+    """
     if 8.0 * beta <= math.pi**2:
         raise ConfigurationError(
             f"arctan gauge needs 8*beta > pi^2, got beta = {beta!r}"
         )
+    c = math.sqrt(2.0 * beta)
 
     def z(u):
         return (u * u + 1.0) ** 2 * (beta - 0.5 * np.arctan(u) ** 2) ** 2
@@ -282,7 +231,9 @@ def arctan_gauge(beta: float, domain: tuple[float, float]) -> GaugeFunction:
     a, b = domain
     vals = z(np.linspace(a, b, 2049))
     return GaugeFunction(
-        f"arctan:{beta:g}", z, zp, float(vals.min()), float(vals.max()), domain
+        f"arctan:{beta:g}", z, zp, float(vals.min()), float(vals.max()), domain,
+        lambda u: 2.0 / c * np.arctanh(np.arctan(u) / c),
+        lambda y: np.tan(c * np.tanh(0.5 * c * y)),
     )
 
 

@@ -294,6 +294,9 @@ class TestSolveCommand:
         ("model", {"sigma": {"form": "constant", "params": {"matrix": [[float("inf")]]}}}),
         ("model", {"rho": float("inf")}),
         ("model", {"tau": float("nan")}),
+        ("grid", {"nodes": [33.7]}),
+        ("grid", {"padding": 2.9}),
+        ("scheme", {"record_every": 2.9}),
     ])
     def test_bad_field_exits_one_naming_it(self, runner, tmp_path, which, edit):
         # a misspelt key used to be ignored, a bad value reported without its field
@@ -462,6 +465,23 @@ class TestTransformRoundtripCommand:
             main, ["transform-roundtrip", "--gauge", "mbs-exp:1,2", "--out", str(out)]
         )
         assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("margin, message", [
+        ("0.6", "gauge shift-sq is not positive with an integrable 1/sqrt(z) "
+                "on the margined domain [-1.1, 1.6] (margin 0.6)"),
+        ("nan", "margin must be finite and nonnegative, got nan"),
+        ("inf", "margin must be finite and nonnegative, got inf"),
+        ("-0.1", "margin must be finite and nonnegative, got -0.1"),
+    ])
+    def test_bad_margin_exits_one_naming_it(self, runner, tmp_path, margin, message):
+        # a margin reaching z's zero at u = -1 used to pass the round trip
+        res = runner.invoke(
+            main,
+            ["transform-roundtrip", "--gauge", "shift-sq", "--domain=-0.5,1",
+             "--margin", margin, "--out", str(tmp_path / "out")],
+        )
+        assert res.exit_code == 1, res.output
+        assert message in res.output
 
 
 class TestCountsBelowOne:

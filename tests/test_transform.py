@@ -207,24 +207,14 @@ class TestInterpolant:
         assert np.max(np.abs(inv(vs) - exact)) < 1e-10
 
     def test_range_is_tested_once(self):
-        # within 1e-9 of the range a query is clipped onto it; further out it raises
+        # within 1e-12 of the range a query is clipped onto it; further out it raises
         T = shift_sq_transformation()
-        inv = T.inverse_interpolant()
         vlo, vhi = T.v_range
-        ends = inv(np.array([vlo, vhi]))
-        assert np.array_equal(inv(np.array([vlo - 5e-10, vhi + 5e-10])), ends)
-        for bad in (vlo - 2e-9, vhi + 2e-9):
+        ends = T.psi_inverse(np.array([vlo, vhi]))
+        assert np.array_equal(T.psi_inverse(np.array([vlo - 5e-13, vhi + 5e-13])), ends)
+        for bad in (vlo - 2e-12, vhi + 2e-12):
             with pytest.raises(RangeError):
-                inv(np.array([0.5 * (vlo + vhi), bad]))
-
-    def test_bracket_without_clipping(self):
-        # the panel index equals the clipped searchsorted one at the table
-        # nodes, between them and at both ends
-        T = shift_sq_transformation()
-        table = T._psi_table
-        vs = np.concatenate((table, 0.5 * (table[1:] + table[:-1])))
-        want = np.clip(np.searchsorted(table, vs) - 1, 0, len(table) - 2)
-        assert np.array_equal(T._bracket(vs), want)
+                T.psi_inverse(np.array([0.5 * (vlo + vhi), bad]))
 
 
 class TestArrayGauges:
@@ -242,8 +232,8 @@ class TestArrayGauges:
 
 
 class TestArrayPsi:
-    """psi and psi_inverse take arrays; the Gauss-Legendre panel rule must
-    agree with adaptive quadrature of 1/sqrt(z) from the base point."""
+    """psi and psi_inverse take arrays; each gauge's closed form must agree
+    with adaptive quadrature of 1/sqrt(z) from the base point."""
 
     @pytest.mark.parametrize(
         "ident", ["unit", "shift-sq", "affine-sq:2,1", "exp", "mbs-exp:1,2", "arctan:1.5"]
@@ -269,3 +259,17 @@ class TestArrayPsi:
         assert type(T.psi(float(us[0, 0]))) is float
         assert type(T.psi_inverse(float(vs[0, 0]))) is float
         assert T.psi(float(us[1, 3])) == vs[1, 3]
+
+    @pytest.mark.parametrize(
+        "ident", ["unit", "shift-sq", "affine-sq:2,1", "exp", "mbs-exp:1,2", "arctan:1.5"]
+    )
+    def test_ranges_map_onto_each_other(self, ident):
+        # the closed forms carry the margined domain's ends onto v_range and
+        # back, and no inverse leaves u_range, even at a clipped end
+        T = transform.Transformation(transform.gauge_from_identifier(ident, (1.0, 2.0)), 0.2)
+        assert tuple(T.psi(np.array(T.u_range))) == T.v_range
+        np.testing.assert_allclose(T.psi_inverse(np.array(T.v_range)), T.u_range,
+                                   rtol=1e-15, atol=1e-15)
+        vlo, vhi = T.v_range
+        us = T.psi_inverse(np.concatenate(([vlo - 1e-12, vhi + 1e-12], np.linspace(vlo, vhi, 1001))))
+        assert np.all((T.u_range[0] <= us) & (us <= T.u_range[1]))
