@@ -384,8 +384,8 @@ def cmd_transform_roundtrip(gauge_id, domain_str, margin, samples, out_dir, seed
     lo, hi = transf.u_range
     us = rng.uniform(lo, hi, samples)
     vs = transf.psi(us)
-    ip, _ = transf.inverse_derivatives(vs)
-    rt = np.abs(transf.psi_inverse(vs) - us)
+    back, ip, _ = transf.inverse_derivatives(vs)
+    rt = np.abs(back - us)
     dv = np.abs(ip**2 - gauge.z(us))
     worst_rt, worst_deriv = float(rt.max(initial=0.0)), float(dv.max(initial=0.0))
     config = {"command": "transform-roundtrip", "gauge": gauge_id,

@@ -201,9 +201,8 @@ def transform_hamiltonian(H: HamiltonianSpec, gauge: GaugeFunction) -> Hamiltoni
     m = 0.02 * (v_hi - v_lo)
 
     def fn(x, t, v, p, X):
-        u = T.psi_inverse(v)
-        ip = np.sqrt(gauge.z(u))
-        ipp = np.asarray(0.5 * gauge.z_prime(u))
+        u, ip, ipp = T.inverse_derivatives(v)
+        ip, ipp = np.asarray(ip), np.asarray(ipp)
         p = np.asarray(p, dtype=float)
         pp = p[..., :, None] * p[..., None, :]
         Xt = ip[..., None, None] * np.asarray(X, dtype=float) + ipp[..., None, None] * pp

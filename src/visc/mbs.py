@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hamiltonian import CheckReport, HamiltonianSpec, ModulusFamily, sample_rng
 from .osgood import OsgoodFunction, gl_panel, refine_max
-from .transform import GaugeFunction, affine_sq_gauge
+from .transform import GaugeFunction, Transformation, mbs_exp_gauge
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +604,9 @@ def cp7_candidates(
     if m0 <= 0.0:
         raise ModelError("need inf(k_lower + h + xi) > 0")
     lam1, lam2 = 2.0 / m0, 1.0
+    gauge = mbs_exp_gauge(m0, M0)
     b = m.bounds()
-    lam0 = (lam1 * m0 - lam2) ** 2
+    lam0 = gauge.lambda0
     sig = b["sigma_op"]
     dh = b["grad_h_sup"]
     c2 = max(
@@ -622,7 +623,6 @@ def cp7_candidates(
         + m.rho * sig**2 * dh**2 / (2.0 * lam0**1.5 * m0)
         + (b["r_max"] * M0 + b["g_sup"]) / (2.0 * lam0**1.5)
     )
-    gauge = affine_sq_gauge(lam1, lam2, (m0, M0))
     return gamma, ModulusFamily("linear", nu_rate), gauge
 
 
@@ -688,27 +688,14 @@ def constant_from_bounds(
     )
 
 
-def _mbs_exp_calculus(m0: float):
-    """Closed forms for I(v) = m0 (e^{2v/m0} + 1)/2 and its derivatives."""
-
-    def E(v):
-        return np.exp(2.0 * np.asarray(v, dtype=float) / m0)
-
-    I = lambda v: 0.5 * m0 * (E(v) + 1.0)
-    Ip = lambda v: E(v)
-    Ipp = lambda v: (2.0 / m0) * E(v)
-    return I, Ip, Ipp
-
-
 def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
     """Coefficients of the straightened equation and the constant C.
 
-    For rho > 0 the straightening uses I(v) = m0 (e^{2v/m0} + 1)/2 on
-    [0, (m0/2) log(2 M0/m0 - 1)], for which lambda1'(v) =
-    (4 rho/m0^2) e^{2v/m0} / (e^{2v/m0} + 1)^2 > 0 with its minimum at the
-    right endpoint.  For rho = 0 the equation is linear and the identity
-    straightening is used (requires h = 0 unless the value floor stays
-    positive).
+    For rho > 0 the Transformation of mbs_exp_gauge(m0, M0) supplies I, I'
+    and I'' on v_range = [0, v_max], where lambda1'(v) = (4 rho/m0^2)
+    I'(v) / (I'(v) + 1)^2 > 0 has its minimum at the right endpoint.  For
+    rho = 0 the equation is linear and the identity straightening is used
+    (requires h = 0 unless the value floor stays positive).
     """
     b = m.bounds()
     pair = barrier_pair(m)
@@ -721,15 +708,14 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
     if m.rho > 0.0:
         if m0 <= 0.0:
             raise ModelError("need inf(k_lower + h + xi) > 0 when rho > 0")
-        I, Ip, Ipp = _mbs_exp_calculus(m0)
-        v_max = 0.5 * m0 * math.log(max(2.0 * M0 / m0 - 1.0, 1.0))
+        T = Transformation(mbs_exp_gauge(m0, M0), 0.0)
+        v_range, v_max = T.v_range, T.v_range[1]
+        I, Ip = T.psi_inverse, lambda v: T.inverse_derivatives(v)[1]
         grid = np.linspace(0.0, max(v_max, 1e-12), 10_001)
-        Iv, Ipv, Ippv = I(grid), Ip(grid), Ipp(grid)
+        Iv, Ipv, Ippv = T.inverse_derivatives(grid)
         lambda1 = lambda v: m.rho * Ip(v) / I(v) - 1.0 / m0
         lambda2 = lambda v: -2.0 * m.rho / I(v)
-        lam1p_min = float(
-            (4.0 * m.rho / m0**2) * (Ip(v_max) / (Ip(v_max) + 1.0) ** 2)
-        )
+        lam1p_min = (4.0 * m.rho / m0**2) * (Ip(v_max) / (Ip(v_max) + 1.0) ** 2)
         sup_lambda2 = float(np.max(2.0 * m.rho / Iv))
         sup_lambda2_prime = float(np.max(2.0 * m.rho * Ipv / Iv**2)) * 1.05
         # v-derivative envelopes for the three pieces of f, on the grid
@@ -755,14 +741,14 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
         u_scale = 2.0 * M0 / m0 - 1.0
         lip_v0 = (b["u0_lip"] + b["grad_h_sup"]) / 1.0  # min I' = 1 at v = 0
         gauge_kind = "mbs-exp"
-        v_range = (0.0, v_max)
 
         def f_fn(x, t, v):
             wv = m.sigma.T @ m.h.grad(np.asarray(x, dtype=float), t)
+            Iv, Ipv, _ = T.inverse_derivatives(v)
             return (
-                m.rho * float(wv @ wv) / (float(I(v)) * float(Ip(v)))
-                + float(source_g(m, x, t)) / float(Ip(v))
-                + float(m.r(t)) * float(I(v)) / float(Ip(v))
+                m.rho * float(wv @ wv) / (Iv * Ipv)
+                + float(source_g(m, x, t)) / Ipv
+                + float(m.r(t)) * Iv / Ipv
             )
 
     else:

@@ -368,13 +368,13 @@ class StraightenedProblem(_MonotoneStencil):
         self.r_sup = max(float(rate.max()), 0.0)
 
     def _gauge_at(self, v: np.ndarray):
+        """(I, I', I'') at v clamped onto v_range, flagged if it moved; a NaN
+        passes this one range test and is reported by the march as a blow-up."""
         if (np.minimum.reduce(v, axis=None) < self.v_lo
                 or np.maximum.reduce(v, axis=None) > self.v_hi):
             self.flags["v_range_clamped"] = True
             v = np.clip(v, self.v_lo, self.v_hi)
-        u = self.transf.psi_inverse(v)
-        z, z_prime = self.transf.gauge.z(u), self.transf.gauge.z_prime(u)
-        return u, np.sqrt(z, out=z), np.multiply(0.5, z_prime, out=z_prime)
+        return self.transf._triple(v)
 
     def initial_values(self) -> np.ndarray:
         m = self.model
@@ -604,9 +604,9 @@ def solve_transformed(
 
 
 def map_back(result: SolveResult, transf: Transformation) -> list[GridField]:
-    """I(v) for every recorded v-field, giving u-scale fields."""
+    """I(v) for every recorded v-field, v clipped onto v_range: u-scale fields."""
     return [
-        GridField(f.grid, f.t, transf.psi_inverse(np.clip(f.values, *transf.v_range)))
+        GridField(f.grid, f.t, transf._triple(np.clip(f.values, *transf.v_range))[0])
         for f in result.fields
     ]
 

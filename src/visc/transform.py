@@ -56,13 +56,15 @@ class GaugeFunction:
 
 @dataclass
 class Transformation:
-    """Psi, its inverse and the derivative identities, for one gauge.
+    """Psi, its inverse I and I's derivatives, for one gauge.
 
     The gauge's domain widened by margin on each side is the u-range; it
-    must keep z positive and F finite.  Psi and its inverse come from the
-    gauge's closed forms F and F_inv, take a float or an array and return
-    the same shape.  inverse_interpolant returns psi_inverse; the name stays
-    for the benchmark that calls it.  Immutable after construction.
+    must keep z positive and F finite.  Psi and I come from the gauge's
+    closed forms F and F_inv, take a float or an array and return the same
+    shape.  Every (I, I', I'') = (I, sqrt(z(I)), z'(I) / 2) comes from
+    _triple, behind one range test unless the caller clamped v onto v_range.
+    inverse_interpolant returns psi_inverse for the benchmark that calls it.
+    Immutable after construction.
     """
 
     gauge: GaugeFunction
@@ -98,26 +100,23 @@ class Transformation:
 
     def psi(self, u):
         """Psi(u) = F(u) - F(base point)."""
-        lo, hi = self.u_range
-        uu = np.asarray(u, dtype=float)
-        if not np.all((lo <= uu) & (uu <= hi)):
-            raise DomainError(f"u = {u!r} outside transformation domain [{lo!r}, {hi!r}]")
+        uu = _clipped(u, *self.u_range, 0.0, DomainError, "u", "transformation domain")
         return _like(u, self.gauge.F(uu) - self._F_base)
 
     def psi_inverse(self, v):
         """I(v) = F_inv(v + F(base point)).  A v within 1e-12 of v_range is
         clipped onto it, and the result onto u_range."""
-        vlo, vhi = self.v_range
-        vv = np.asarray(v, dtype=float)
-        if not np.all((vlo - 1e-12 <= vv) & (vv <= vhi + 1e-12)):
-            raise RangeError(f"v = {v!r} outside Psi range [{vlo!r}, {vhi!r}]")
-        u = self.gauge.F_inv(np.clip(vv, vlo, vhi) + self._F_base)
-        return _like(v, np.clip(u, *self.u_range))
+        return self.inverse_derivatives(v)[0]
 
     def inverse_derivatives(self, v):
-        """(I'(v), I''(v)) = (sqrt(z(I(v))), z'(I(v)) / 2)."""
-        u = self.psi_inverse(v)
-        return _like(v, np.sqrt(self.gauge.z(u))), _like(v, 0.5 * self.gauge.z_prime(u))
+        """(I(v), I'(v), I''(v)) = (I, sqrt(z(I)), z'(I) / 2), v tested like psi_inverse's."""
+        vv = _clipped(v, *self.v_range, 1e-12, RangeError, "v", "Psi range")
+        return tuple(_like(v, w) for w in self._triple(vv))
+
+    def _triple(self, v):
+        """(I, I', I'') at v already in v_range: no range test; I is clipped onto u_range."""
+        u = np.clip(self.gauge.F_inv(v + self._F_base), *self.u_range)
+        return u, np.sqrt(self.gauge.z(u)), 0.5 * self.gauge.z_prime(u)
 
     def inverse_interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
         """psi_inverse itself."""
@@ -127,6 +126,19 @@ class Transformation:
 def _like(arg, value):
     """value as a float when arg is a scalar, else as an array."""
     return float(value) if np.ndim(arg) == 0 else value
+
+
+def _clipped(x, lo, hi, tol, error, name, what) -> np.ndarray:
+    """x as floats clipped onto [lo, hi]; error names the first value outside
+    [lo - tol, hi + tol], its index and how many values are outside."""
+    xx = np.asarray(x, dtype=float)
+    ok = (lo - tol <= xx) & (xx <= hi + tol)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        at = [int(i) for i in np.unravel_index(bad[0], xx.shape)]
+        raise error(f"{name}{at or ''} = {float(xx.flat[bad[0]])!r} outside {what} [{lo!r}, "
+                    f"{hi!r}]" + (f" ({bad.size} of {xx.size} values outside)" if at else ""))
+    return np.clip(xx, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -586,6 +586,16 @@ class TestChangeOfVariable:
         assert gaps[-1] <= 5e-3, gaps
         assert gaps[0] >= gaps[1] >= gaps[2], gaps
 
+    def test_map_back_clips_a_field_above_the_range(self):
+        m = mbs.default_model()
+        transf = affine_sq_transformation(m)
+        grid = small_grid(n=11)
+        vs = np.linspace(transf.v_range[1] + 1e-9, transf.v_range[1] + 5.0, 11)
+        res = solver.SolveResult([solver.GridField(grid, 0.5, vs)], None, {})
+        (back,) = solver.map_back(res, transf)
+        assert back.t == 0.5
+        assert np.all(back.values == transf.u_range[1])
+
 
 def affine_sq_transformation(m):
     from visc import transform
@@ -771,6 +781,29 @@ class TestBlowUp:
         assert info.value.t == pytest.approx(expected * dt, rel=1e-12)
         # the three-point stencil spreads the NaN one node per step after step 3
         assert info.value.node == (20 - (expected - 3),)
+
+    def test_nan_in_a_straightened_march_is_a_blow_up(self, monkeypatch):
+        # a NaN passes the v-range test of the gauge evaluation and is caught
+        # as a blow-up, not refused as an out-of-range v
+        calls = []
+        reaction = solver.StraightenedProblem._reaction
+
+        def poisoned(self, V, grad, t):
+            calls.append(t)
+            out = reaction(self, V, grad, t)
+            if len(calls) == 3:
+                out[99] = np.nan  # interior index 99 is grid node 100
+            return out
+
+        monkeypatch.setattr(solver.StraightenedProblem, "_reaction", poisoned)
+        m = mbs.default_model()
+        dt = 1e-3
+        cfg = solver.SchemeConfig(theta=(0.0,), dt=dt, record_every=1)
+        with pytest.raises(BlowUpError) as info:
+            solver.solve_transformed(m, affine_sq_transformation(m), small_grid(n=201),
+                                     cfg=cfg, t_end=10 * dt)
+        assert info.value.step == 3
+        assert info.value.node == (100,)
 
 
 def time_model():

@@ -106,7 +106,8 @@ class TestPsiInverse:
 class TestInverseDerivatives:
     def test_unit_gauge(self):
         T = transform.Transformation(transform.unit_gauge((0.0, 1.0)), 0.0)
-        ip, ipp = T.inverse_derivatives(0.5)
+        u, ip, ipp = T.inverse_derivatives(0.5)
+        assert u == 0.5
         assert ip == pytest.approx(1.0, abs=1e-14)
         assert ipp == 0.0
 
@@ -115,8 +116,8 @@ class TestInverseDerivatives:
         T = shift_sq_transformation()
         rng = np.random.default_rng(11)
         for v in rng.uniform(*T.v_range, 50):
-            ip, _ = T.inverse_derivatives(float(v))
-            u = T.psi_inverse(float(v))
+            u, ip, _ = T.inverse_derivatives(float(v))
+            assert u == T.psi_inverse(float(v))
             assert abs(ip**2 - T.gauge.z(u)) <= 1e-8 * (1.0 + T.gauge.Lambda0)
 
     def test_matches_finite_difference(self):
@@ -124,7 +125,7 @@ class TestInverseDerivatives:
         lo, hi = T.v_range
         dv = 1e-6 * (hi - lo)
         for v in np.linspace(lo + 2 * dv, hi - 2 * dv, 9):
-            ip, _ = T.inverse_derivatives(float(v))
+            _, ip, _ = T.inverse_derivatives(float(v))
             fd = (T.psi_inverse(v + dv) - T.psi_inverse(v - dv)) / (2.0 * dv)
             assert ip == pytest.approx(fd, rel=1e-6)
 
@@ -133,8 +134,48 @@ class TestInverseDerivatives:
         m0 = 1.0
         T = transform.Transformation(transform.mbs_exp_gauge(m0, 2.0), 0.2)
         for v in np.linspace(0.0, 0.5, 7):
-            _, ipp = T.inverse_derivatives(float(v))
+            _, _, ipp = T.inverse_derivatives(float(v))
             assert ipp == pytest.approx(2.0 / m0 * math.exp(2.0 * v / m0), rel=1e-8)
+
+    @pytest.mark.parametrize("m0, M0", [(1.0, 2.0), (0.37, 1.9)])
+    def test_mbs_exp_triple_matches_closed_form(self, m0, M0):
+        # with E = e^{2v/m0}: I = m0 (E + 1)/2, I' = E, I'' = (2/m0) E
+        T = transform.Transformation(transform.mbs_exp_gauge(m0, M0), 0.0)
+        vs = np.linspace(*T.v_range, 101)
+        E = np.exp(2.0 * vs / m0)
+        closed = (0.5 * m0 * (E + 1.0), E, (2.0 / m0) * E)
+        for got, want in zip(T.inverse_derivatives(vs), closed):
+            assert got.shape == vs.shape
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        for k in (0, 37, 100):
+            triple = T.inverse_derivatives(float(vs[k]))
+            assert all(type(w) is float for w in triple)
+            for got, want in zip(triple, closed):
+                assert got == pytest.approx(float(want[k]), rel=1e-14, abs=0.0)
+
+
+class TestRangeMessages:
+    def test_long_input_names_the_first_bad_value_briefly(self):
+        T = shift_sq_transformation()
+        vs = np.full(10_000, 0.5 * sum(T.v_range))
+        vs[[4321, 7000]] = T.v_range[1] + 7.25
+        with pytest.raises(RangeError) as err:
+            T.psi_inverse(vs)
+        msg = str(err.value)
+        assert len(msg) < 300
+        assert repr(T.v_range[1] + 7.25) in msg
+        assert "[4321]" in msg and "2 of 10000" in msg
+        us = np.full(10_000, T.u_range[0])
+        us[9999] = math.nan
+        with pytest.raises(DomainError) as err:
+            T.psi(us)
+        msg = str(err.value)
+        assert len(msg) < 300 and "nan" in msg and "[9999]" in msg
+
+    def test_scalar_message_names_the_value(self):
+        T = shift_sq_transformation()
+        with pytest.raises(RangeError, match=r"^v = 9\.5 outside Psi range"):
+            T.inverse_derivatives(9.5)
 
 
 class TestGaugeCatalog:
