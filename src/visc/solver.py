@@ -27,14 +27,20 @@ constant extrapolation from the nearest interior node; the equation itself is
 posed on all of R^N, so truncation is ours, and accuracy is audited away from
 the reserved padding margin (GridSpec.audited_slice).
 
-Each run binds its field buffer to the stencil once: the coefficients folded
-for its theta, the views of the buffer every step reads and writes, and a
-cleared node-wise record of |dH/dp_k|.  A step then issues only ufuncs on
-those views, and the record is reduced into the run's max once at its end.
-A march binds once per run; public step and rhs bind once per call.
-The time-only arrays (functions of r(t), s(t) and xi(t) on the nodes) are
-rebuilt when those factors or the run's c_0 change, so once per run for a
-model constant in time; the pricing discount -r U sits in the diagonal c_0 - r.
+A step is one fused update of the interior, W <- W + dt F(W), with dt F(W)
+formed by one kernel from coefficients that already carry dt: per axis
+dt c_up_k and dt c_dn_k, the diagonal dt (c_0 - r) and the problem's
+dt-scaled reaction constants.  The kernel hands the reaction the raw
+differences g_k = W_up - W_dn, and the factor 1/2dx_k sits in the reaction's
+constants too.  Each run binds its field buffer to the stencil once: the
+coefficients folded for its theta, the buffers their dt-scaled copies live
+in, the views of the field every step reads and writes, and a cleared
+node-wise record of |dH/dp_k|.  The scaled copies and the time-only arrays
+(functions of r(t), s(t) and xi(t) on the nodes) are rescaled in place when
+dt or those factors differ from the last step's: once per run for a model
+constant in time, and once more for a clipped last step.  The record is
+reduced into the run's max once at its end.  A march binds once per run;
+public step and rhs bind once per call, and rhs is the kernel at dt = 1.
 """
 
 from __future__ import annotations
@@ -157,28 +163,38 @@ class _Bound(NamedTuple):
     """One run's binding of a field buffer to the stencil (see _bind)."""
 
     W: np.ndarray
-    c_0: np.ndarray
+    fold: tuple
+    scaled: tuple
     axes: tuple
     ring: tuple
 
 
 class _MonotoneStencil:
     """The linear monotone stencil both unknowns share: per-axis diffusion,
-    upwind drift and Lax-Friedrichs dissipation, plus the central gradient
-    handed to the subclass's reaction term.
+    upwind drift and Lax-Friedrichs dissipation, plus the raw differences
+    g_k = W_up - W_dn handed to the subclass's reaction term.
 
     Work is done as rarely as its inputs change.  Once per problem: the
     interior nodes, mu on them and every scratch buffer.  Once per run,
-    _bind folds the coefficients for the run's theta (they do not depend on
-    t, as mu has no time argument) and binds the field buffer the run
-    updates in place: its interior view, per axis the shifted views, folded
-    coefficients, central width and gradient slot, and the (edge, inner)
-    view pairs of the boundary ring.  Per step, _advance issues only ufuncs
-    on those views, and the reaction keeps a node-wise running max of its
-    slope in the gradient; _reduce_slope folds that record into slope_sup
-    once per run.  Rounding is monotone, max fl(c x) = fl(c max x), so the
-    result equals a reduction per step.  _diagonal rebuilds the diagonal and
-    the time-only arrays by the module docstring's rule."""
+    _bind folds the coefficients c_up_k, c_dn_k and c_0 for the run's theta
+    (they do not depend on t, as mu has no time argument), allocates the
+    buffers of their dt-scaled copies, and binds the field buffer the run
+    updates in place: its interior view, per axis the shifted views, scaled
+    coefficients and difference slot (none when the reaction reads no
+    gradient), and per axis the (edges, inners) view pair of the boundary
+    ring's two ends.  When the run, dt or (r(t), s(t), xi(t)) differ from
+    the last call's, _rescale writes dt c_up_k, dt c_dn_k and the diagonal
+    dt (c_0 - q) into those buffers, q being the rate the problem's
+    _rebuild(t, dt, r, s, xi) returns (r for U, 0 for v) once it has
+    refilled its dt-scaled time-only arrays and constants.  Per step,
+    _increment_into writes dt F(W) from them, _advance adds it to W, and
+    the reaction keeps a node-wise running max of its slope in the
+    gradient; _reduce_slope folds that record into slope_sup once per run.
+    Rounding is monotone, max fl(c x) = fl(c max x), so the result equals a
+    reduction per step."""
+
+    # whether the reaction reads the differences; the kernel skips them if not
+    _reads_gradient = True
 
     def __init__(self, model: MbsModel, grid: GridSpec):
         if grid.dim != model.dim_state:
@@ -206,67 +222,77 @@ class _MonotoneStencil:
         # stored axis by axis so grad[..., k] is contiguous
         self._grad, self._slope = (np.moveaxis(np.zeros((grid.dim,) + shape), 0, -1)
                                    for _ in range(2))
-        self._built = (None, None)
+        self._scaled_for = (None, None)
 
-    def _diagonal(self, c_0: np.ndarray, t: float) -> np.ndarray:
-        """The diagonal at t; _rebuild runs when c_0 or the factors change."""
+    def _rescale(self, run: _Bound, t: float, dt: float) -> None:
+        """Write the dt-scaled coefficients of run at t, unless the run, dt and
+        the factors (r(t), s(t), xi(t)) are those of the last call.  The run
+        is told by its diagonal buffer, so the memo keeps no other array of a
+        finished run alive."""
         m = self.model
-        factors = (m.r(t), m.h.time_factor(t), m.xi(t))
-        if c_0 is not self._built[0] or factors != self._built[1]:
-            self._built = (c_0, factors)
-            self._diag = self._rebuild(c_0, t, *factors)
-        return self._diag
+        key = (dt, m.r(t), m.h.time_factor(t), m.xi(t))
+        if run.scaled[-1] is self._scaled_for[0] and key == self._scaled_for[1]:
+            return
+        self._scaled_for = (run.scaled[-1], key)
+        *coefs, c_0 = run.fold
+        *dt_coefs, dt_diag = run.scaled
+        for c, dt_c in zip(coefs, dt_coefs):
+            np.multiply(dt, c, out=dt_c)
+        np.multiply(dt, np.subtract(c_0, self._rebuild(t, *key), out=dt_diag), out=dt_diag)
 
-    def _fold(self, theta: Sequence[float]) -> tuple[list, list, np.ndarray]:
-        """c_up_k = (a_k + theta_k dx_k) / 2dx_k^2 + mu_k^+ / dx_k, c_dn_k the
-        same with mu_k^-, and c_0 = -sum_k (c_up_k + c_dn_k)."""
+    def _fold(self, theta: Sequence[float]) -> tuple:
+        """(c_up_0, ..., c_dn_0, ..., c_0): c_up_k = (a_k + theta_k dx_k) / 2dx_k^2
+        + mu_k^+ / dx_k, c_dn_k the same with mu_k^-, c_0 = -sum_k (c_up_k + c_dn_k)."""
         c_up, c_dn = [], []
         for k, dx in enumerate(self.grid.dx):
             diff = 0.5 * (self.diffusion[k] + theta[k] * dx) / dx**2
             c_up.append(diff + np.maximum(self.mu_int[..., k], 0.0) / dx)
             c_dn.append(diff + np.maximum(-self.mu_int[..., k], 0.0) / dx)
-        return c_up, c_dn, -(sum(c_up) + sum(c_dn))
+        return (*c_up, *c_dn, -(sum(c_up) + sum(c_dn)))
 
     def _bind(self, values: np.ndarray, theta: Sequence[float]) -> _Bound:
         """Bind the field buffer values for one run with dissipation theta,
         and clear the slope record."""
-        c_up, c_dn, c_0 = self._fold(theta)
-        inner = (slice(1, -1),) * values.ndim
+        dim = self.grid.dim
+        fold = self._fold(theta)
+        scaled = tuple(np.empty(self._rate.shape) for _ in fold)
+        inner = (slice(1, -1),) * dim
         axes, ring = [], []
-        for k, dx in enumerate(self.grid.dx):
+        for k, n in enumerate(self.grid.nodes):
             up, dn = list(inner), list(inner)
             up[k], dn[k] = slice(2, None), slice(None, -2)
-            axes.append((values[tuple(up)], values[tuple(dn)], c_up[k], c_dn[k],
-                         2.0 * dx, self._grad[..., k]))
+            axes.append((values[tuple(up)], values[tuple(dn)], scaled[k], scaled[dim + k],
+                         self._grad[..., k] if self._reads_gradient else None))
+            # both ends of axis k at once: nodes 0 and n - 1 from nodes 1 and n - 2
             head = (slice(None),) * k
-            ring.append((values[head + (slice(0, 1),)], values[head + (slice(1, 2),)]))
-            ring.append((values[head + (slice(-1, None),)], values[head + (slice(-2, -1),)]))
+            ring.append((values[head + (slice(0, None, n - 1),)],
+                         values[head + (slice(1, n - 1, n - 3),)]))
         self._slope.fill(0.0)
-        return _Bound(values[inner], c_0, tuple(axes), tuple(ring))
+        return _Bound(values[inner], fold, scaled, tuple(axes), tuple(ring))
 
     def _reaction(self, W: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
+        """dt times the reaction term, from the raw differences grad."""
         raise NotImplementedError
 
-    def _rhs_into(self, run: _Bound, t: float, out: np.ndarray) -> np.ndarray:
-        """The right-hand side on the interior nodes of the bound field,
-        written into out."""
-        W, c_0, axes, _ = run
-        tmp = self._tmp
-        np.multiply(self._diagonal(c_0, t), W, out=out)
-        for up, dn, c_up, c_dn, two_dx, g in axes:
+    def _increment_into(self, run: _Bound, t: float, dt: float, out: np.ndarray) -> np.ndarray:
+        """dt F(W) on the interior nodes of the bound field, written into out."""
+        self._rescale(run, t, dt)
+        W, tmp = run.W, self._tmp
+        np.multiply(run.scaled[-1], W, out=out)
+        for up, dn, c_up, c_dn, g in run.axes:
             out += np.multiply(c_up, up, out=tmp)
             out += np.multiply(c_dn, dn, out=tmp)
-            np.divide(np.subtract(up, dn, out=g), two_dx, out=g)
+            if g is not None:
+                np.subtract(up, dn, out=g)
         out += self._reaction(W, self._grad, t)
         return out
 
     def _advance(self, run: _Bound, t: float, dt: float) -> None:
         """One explicit Euler step of the bound field, in place: the interior
-        update (the whole rate is formed first), then the boundary ring
+        update (the whole increment is formed first), then the boundary ring
         copied from its inner neighbours (what np.pad's edge mode gives,
         corners included)."""
-        rate = self._rhs_into(run, t, self._rate)
-        np.add(run.W, np.multiply(dt, rate, out=rate), out=run.W)
+        np.add(run.W, self._increment_into(run, t, dt, self._rate), out=run.W)
         for edge, inner in run.ring:
             edge[...] = inner
 
@@ -276,8 +302,10 @@ class _MonotoneStencil:
         np.maximum(self.slope_sup, self._slope_scale * node_max, out=self.slope_sup)
 
     def rhs(self, values: np.ndarray, t: float, theta: Sequence[float]) -> np.ndarray:
-        """The right-hand side on the interior nodes, in a fresh array."""
-        out = self._rhs_into(self._bind(values, theta), t, np.empty(self._rate.shape))
+        """The right-hand side on the interior nodes, in a fresh array: the
+        step's kernel at dt = 1."""
+        run = self._bind(values, theta)
+        out = self._increment_into(run, t, 1.0, np.empty(self._rate.shape))
         self._reduce_slope()
         return out
 
@@ -299,24 +327,30 @@ class PricingProblem(_MonotoneStencil):
             self.den_floor = 0.5 * pair.m0
         else:
             self.den_floor = None
+        # with rho = 0 nothing reads the gradient, so the kernel forms none
+        self._reads_gradient = model.rho > 0.0
         # h = s(t) phi(x): the profile on the interior nodes, once per problem
         self.h_phi = model.h.value(self.x_int)
         self.flags = {"denominator_clamped": False}
-        # dH/dp_k = -2 rho a_k p_k / den: the reaction records |p_k| / den
-        self._rho_a = model.rho * self.diffusion
-        self._slope_scale = 2.0 * self._rho_a
-        self._den, self._abs, self._react, self._diag, self._source, self._offset = (
-            np.empty(self._rate.shape) for _ in range(6))
+        # with p_k = g_k / 2dx_k, dH/dp_k = -2 rho a_k p_k / den = -(rho a_k / dx_k) g_k / den
+        # and rho a_k p_k^2 / den = (rho a_k / 4dx_k^2) g_k^2 / den: the reaction
+        # records |g_k| / den, and its quadratic factors are dt times the latter
+        self._slope_scale = model.rho * self.a_dx
+        self._quad = [model.rho * a / (4.0 * dx**2) for a, dx in zip(self.diffusion, grid.dx)]
+        self._den, self._abs, self._react, self._source, self._offset = (
+            np.empty(self._rate.shape) for _ in range(5))
 
     def initial_values(self) -> np.ndarray:
         return self.model.U0.value(self.grid.points())
 
-    def _rebuild(self, c_0, t, r, s, xi):
-        """Source (tau - r) h, offset h + xi of den, h = s phi; diagonal c_0 - r."""
+    def _rebuild(self, t, dt, r, s, xi):
+        """Source dt (tau - r) h, offset h + xi of den, h = s phi, and the
+        quadratic factors dt rho a_k / 4dx_k^2; the diagonal carries r."""
         np.multiply(s, self.h_phi, out=self._offset)
-        np.multiply(self.model.tau - r, self._offset, out=self._source)
+        np.multiply(dt * (self.model.tau - r), self._offset, out=self._source)
         self._offset += xi
-        return np.subtract(c_0, r, out=self._diag)
+        self._quad_dt = [dt * k for k in self._quad]
+        return r
 
     def _reaction(self, U: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         if self.model.rho == 0.0:
@@ -326,13 +360,13 @@ class PricingProblem(_MonotoneStencil):
         if np.minimum.reduce(den, axis=None) < self.den_floor:
             self.flags["denominator_clamped"] = True
             np.maximum(den, self.den_floor, out=den)
-        # rho |sigma^T p|^2 / den = sum_k rho a_k p_k q_k, q_k = p_k / den
-        for ax in range(self.grid.dim):
-            p, slope = grad[..., ax], self._slope[..., ax]
-            np.divide(p, den, out=q)
+        # dt rho |sigma^T p|^2 / den = sum_k K_k g_k q_k, q_k = g_k / den
+        for ax, K in enumerate(self._quad_dt):
+            g, slope = grad[..., ax], self._slope[..., ax]
+            np.divide(g, den, out=q)
             np.maximum(slope, np.abs(q, out=self._abs), out=slope)
-            q *= p
-            q *= self._rho_a[ax]
+            q *= g
+            q *= K
             np.subtract(out if ax else self._source, q, out=out)
         return out
 
@@ -354,9 +388,12 @@ class StraightenedProblem(_MonotoneStencil):
         self.dphi_sig = model.h.grad(self.x_int) @ model.sigma
         self.g_at = source_g_on(model, self.x_int)
         self.flags = {"v_range_clamped": False}
-        self._react = np.empty(self._rate.shape)
-        self._sp, self._num, self._c, self._w = (
-            np.empty(self._rate.shape + (model.dim_noise,)) for _ in range(4))
+        # the kernel's raw differences g_k = 2dx_k p_k: sigma^T p = g^T sig_g, with the
+        # rows of sigma scaled by 1/2dx_k
+        self._sig_g = model.sigma / (2.0 * np.asarray(grid.dx))[:, None]
+        self._react, self._v, self._g_dt = (np.empty(self._rate.shape) for _ in range(3))
+        self._sp, self._num, self._c, self._w, self._h_sig = (
+            np.empty(self._rate.shape + (model.dim_noise,)) for _ in range(5))
         self._dH = np.empty(self._rate.shape + (grid.dim,))
         # stable_dt's discount: the source -(r u + g) / I'(v), u = I(v), falls in v at the
         # rate r - (r u + g) z'(u) / 2z(u); its sup over the u-range, nodes and 33 times
@@ -373,7 +410,7 @@ class StraightenedProblem(_MonotoneStencil):
         if (np.minimum.reduce(v, axis=None) < self.v_lo
                 or np.maximum.reduce(v, axis=None) > self.v_hi):
             self.flags["v_range_clamped"] = True
-            v = np.clip(v, self.v_lo, self.v_hi)
+            v = np.clip(v, self.v_lo, self.v_hi, out=self._v)
         return self.transf._triple(v)
 
     def initial_values(self) -> np.ndarray:
@@ -381,17 +418,20 @@ class StraightenedProblem(_MonotoneStencil):
         pts = self.grid.points()
         return self.transf.psi(m.U0.value(pts) + m.h.value(pts, 0.0) + float(m.xi(0.0)))
 
-    def _rebuild(self, c_0, t, r, s, xi):
-        """The source g(t) and s(t) D phi sigma; the diagonal is c_0."""
-        self._g, self._h_sig = self.g_at(t), s * self.dphi_sig
-        return c_0
+    def _rebuild(self, t, dt, r, s, xi):
+        """The source dt g(t), s(t) D phi sigma and the reaction's constants
+        times dt; the diagonal carries no rate besides c_0."""
+        np.multiply(dt, self.g_at(t), out=self._g_dt)
+        np.multiply(s, self.dphi_sig, out=self._h_sig)
+        self._half_dt, self._rho_dt, self._r_dt = 0.5 * dt, self.model.rho * dt, r * dt
+        return 0.0
 
     def _reaction(self, V: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
         m, sig = self.model, self.model.sigma
         out, tmp = self._react, self._tmp
         u, ip, ipp = self._gauge_at(V)
         ratio = np.divide(ipp, ip, out=ipp)
-        sp = np.dot(grad, sig, out=self._sp)
+        sp = np.dot(grad, self._sig_g, out=self._sp)
         num = np.multiply(ip[..., None], sp, out=self._num)
         num -= self._h_sig
         # dH/dp = sigma c, c = (I''/I') sigma^T p - 2 rho num / u
@@ -399,13 +439,13 @@ class StraightenedProblem(_MonotoneStencil):
         c -= np.multiply(np.divide(2.0 * m.rho, u, out=tmp)[..., None], num, out=self._w)
         dH = np.dot(c, sig.T, out=self._dH)
         np.maximum(self._slope, np.abs(dH, out=dH), out=self._slope)
-        # (I''/2I') |sigma^T p|^2 - rho |num|^2 / (u I') - (r u + g) / I'
-        np.multiply(np.multiply(0.5, ratio, out=ratio),
+        # dt [(I''/2I') |sigma^T p|^2 - rho |num|^2 / (u I') - (r u + g) / I']
+        np.multiply(np.multiply(self._half_dt, ratio, out=ratio),
                     np.sum(np.square(sp, out=sp), axis=-1, out=out), out=out)
         np.multiply(u, ip, out=tmp)
         rho_num = np.sum(np.square(num, out=num), axis=-1, out=ratio)
-        out -= np.divide(np.multiply(m.rho, rho_num, out=rho_num), tmp, out=tmp)
-        np.add(np.multiply(m.r(t), u, out=u), self._g, out=u)
+        out -= np.divide(np.multiply(self._rho_dt, rho_num, out=rho_num), tmp, out=tmp)
+        np.add(np.multiply(self._r_dt, u, out=u), self._g_dt, out=u)
         out -= np.divide(u, ip, out=u)
         return out
 

@@ -984,10 +984,12 @@ class TestTimeArrays:
         U, up, dn = values[1:-1], values[2:], values[:-2]
         h = m.h.value(problem.x_int, t)
         p = (up - dn) / (2.0 * dx)
-        den = np.maximum(U + h + m.xi(t), problem.den_floor)
+        quad = 0.0
+        if m.rho > 0.0:
+            quad = m.rho * a * p**2 / np.maximum(U + h + m.xi(t), problem.den_floor)
         return (0.5 * a * (up - 2.0 * U + dn) / dx**2
                 + np.maximum(mu, 0.0) * (up - U) / dx - np.maximum(-mu, 0.0) * (U - dn) / dx
-                + m.tau * h - m.r(t) * (U + h) - m.rho * a * p**2 / den)
+                + m.tau * h - m.r(t) * (U + h) - quad)
 
     @pytest.mark.parametrize("bound", [False, True])
     def test_rhs_follows_time(self, bound):
@@ -998,10 +1000,29 @@ class TestTimeArrays:
         run = problem._bind(values, (0.0,))
         for t in (0.1, 0.7):
             if bound:
-                got = problem._rhs_into(run, t, np.empty(grid.nodes[0] - 2))
+                got = problem._increment_into(run, t, 1.0, np.empty(grid.nodes[0] - 2))
             else:
                 got = problem.rhs(values, t, (0.0,))
             assert np.max(np.abs(got - self._want(problem, values, t))) <= 1e-13
+
+    @pytest.mark.parametrize("case", ["time", "heat"])
+    def test_bound_step_is_w_plus_dt_f(self, case):
+        # one bound run stepped three times: a new t with a new dt, then the
+        # same t with another dt, so scaled coefficients left over from the
+        # previous call fail; the heat problem (rho = 0) forms no gradient
+        model = time_model() if case == "time" else mbs.heat_model()
+        grid = small_grid(n=41)
+        problem = solver.PricingProblem(model, grid)
+        values = problem.initial_values() + 0.1 * np.sin(grid.points()[..., 0])
+        run = problem._bind(values, (0.0,))
+        problem._grad.fill(np.nan)
+        scale = problem.diffusion[0] / grid.dx[0] ** 2
+        for t, dt in ((0.1, 0.01), (0.7, 0.004), (0.7, 0.007)):
+            want = values[1:-1] + dt * self._want(problem, values, t)
+            problem._advance(run, t, dt)
+            assert np.max(np.abs(values[1:-1] - want)) <= 1e-13 * scale
+            assert values[0] == values[1] and values[-1] == values[-2]
+        assert np.isnan(problem._grad).all() == (case == "heat")
 
     def test_new_theta_rebuilds_the_diagonal(self):
         problem = _kernel_case("pricing-201")
@@ -1011,16 +1032,22 @@ class TestTimeArrays:
         assert np.array_equal(got, _kernel_case("pricing-201").rhs(values, 0.0, (0.5,)))
 
     def test_bound_step_allocates_no_array(self):
+        # the desk model at 1601 nodes, the heat problem (rho = 0, no gradient)
+        # and a model whose r, s and xi change every step, with a dt change
+        # inside the traced window, so the in-place rescale is traced too
         import tracemalloc
 
-        problem = solver.PricingProblem(mbs.default_model(), small_grid(n=1601))
-        cfg = solver.auto_config(problem)
-        run = problem._bind(problem.initial_values(), cfg.theta)
-        tracemalloc.start()
-        try:
-            for k in range(20):
-                problem._advance(run, k * cfg.dt, cfg.dt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < run.W.nbytes
+        for name, model, n, dt_scale in (("desk", mbs.default_model(), 1601, (1.0,)),
+                                         ("heat", mbs.heat_model(), 401, (1.0,)),
+                                         ("time", time_model(), 401, (1.0, 0.5))):
+            problem = solver.PricingProblem(model, small_grid(n=n))
+            cfg = solver.auto_config(problem)
+            run = problem._bind(problem.initial_values(), cfg.theta)
+            tracemalloc.start()
+            try:
+                for k in range(20):
+                    problem._advance(run, k * cfg.dt, cfg.dt * dt_scale[k % len(dt_scale)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < run.W.nbytes, (name, peak)
