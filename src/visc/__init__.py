@@ -22,10 +22,9 @@ from .hamiltonian import (
     check_osgood_structure_cp7,
     check_structure_cp6,
     eval_hamiltonian,
-    fixture,
     transform_hamiltonian,
 )
-from .osgood import FlowTrajectory, OsgoodFunction, divergence_score, gamma_eval, ode_flow, sup_formula
+from .osgood import FlowTrajectory, OsgoodFunction, divergence_score, ode_flow, sup_formula
 from .transform import GaugeFunction, Transformation, gauge_from_identifier
 
 __version__ = "0.1.0"

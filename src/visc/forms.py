@@ -60,7 +60,8 @@ def refuse_unknown(spec: dict, fields: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class TimeForm:
-    """Scalar function of time with exact derivative and antiderivative."""
+    """Affine scalar function of time, intercept + slope t, with its exact
+    antiderivative."""
 
     name: str
     intercept: float
@@ -68,9 +69,6 @@ class TimeForm:
 
     def __call__(self, t):
         return self.intercept + self.slope * t
-
-    def derivative(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.slope)
 
     def antiderivative(self, t):
         """Integral from 0 to t."""

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, PreconditionError, SamplingError
-from .osgood import INV_E, OsgoodFunction
+from .osgood import INV_E, OsgoodFunction, xlog
 from .transform import GaugeFunction, Transformation
 
 PASS_TOL = 1e-9
@@ -276,22 +276,6 @@ def example2_log() -> HamiltonianSpec:
         return -X[..., 0, 0] - _g_log(np.asarray(p, dtype=float)[..., 0])
 
     return HamiltonianSpec("example2-log", 1, (-1.0, 1.0), 0.5, fn, batched=True)
-
-
-def fixture(ident: str) -> HamiltonianSpec:
-    """Fixture registry: example1, example2-power[:gamma], example2-log, mbs-dm2."""
-    head, _, arg = ident.partition(":")
-    if head == "example1":
-        return example1()
-    if head == "example2-power":
-        return example2_power(float(arg)) if arg else example2_power()
-    if head == "example2-log":
-        return example2_log()
-    if head == "mbs-dm2":
-        from .mbs import default_model, transformed_problem
-
-        return transformed_problem(default_model())[0]
-    raise DomainError(f"unknown Hamiltonian fixture {ident!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +623,4 @@ def example1_cp7_candidates(R: float) -> tuple[OsgoodFunction, ModulusFamily]:
     and 2.1 from the zero-order part, both computed from z = (u+1)^2 bounds
     on [-1/2, 1/e].
     """
-    from .osgood import xlog
-
     return xlog(), ModulusFamily("linear", 4.0 * R + 2.1)

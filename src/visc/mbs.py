@@ -79,12 +79,19 @@ class MbsModel:
 
     def _lip_hess_trace_scan(self) -> float:
         """Spatial Lipschitz constant of tr(sigma sigma^T D^2 h), by a dense
-        quotient scan of the analytic Hessian, inflated 1.3x."""
+        quotient scan of the analytic Hessian, inflated 1.3x.  The scan's
+        mesh and its N x N Hessians grow like 41^N, so N >= 4 is refused
+        before anything is allocated."""
         if self.h.is_zero() or self.h.profile.name == "constant":
             return 0.0
         W = self.sigma @ self.sigma.T
         n = self.dim_state
-        per_dim = {1: 4001, 2: 161, 3: 41}.get(n, 41)
+        if n >= 4:
+            raise ConfigurationError(
+                f"field 'N': {n} state dimensions with a non-constant h; the scan "
+                "bounding the Lipschitz constant of tr(sigma sigma^T D^2 h) covers N <= 3"
+            )
+        per_dim = {1: 4001, 2: 161, 3: 41}[n]
         lo, hi = self.scan_box()
         axes = [np.linspace(lo[i], hi[i], per_dim) for i in range(n)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -497,7 +504,7 @@ def source_g_on(m: MbsModel, x: np.ndarray) -> Callable:
         return (
             -h_dt
             + h.time_factor(t) * spatial
-            - (m.xi.derivative(t) + m.r(t) * m.xi(t))
+            - (m.xi.slope + m.r(t) * m.xi(t))
         )
 
     return g
@@ -539,16 +546,6 @@ def dm2_hamiltonian(m: MbsModel) -> HamiltonianSpec:
         t_max=m.T,
         batched=True,
     )
-
-
-def transformed_problem(m: MbsModel) -> tuple[HamiltonianSpec, Callable]:
-    """The u = U + h + xi problem: its Hamiltonian and initial datum."""
-    H = dm2_hamiltonian(m)
-
-    def u0(x):
-        return m.U0.value(x) + m.h.value(x, 0.0) + float(m.xi(0.0))
-
-    return H, u0
 
 
 # ---------------------------------------------------------------------------

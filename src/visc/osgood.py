@@ -44,18 +44,12 @@ class OsgoodFunction:
     kinks: tuple[float, ...] = field(default=())
 
     def __call__(self, h: float) -> float:
-        return gamma_eval(self, h)
-
-
-def gamma_eval(gamma: OsgoodFunction, h: float) -> float:
-    """Evaluate Gamma(h) for h in [0, l]; raises DomainError otherwise."""
-    if not (0.0 <= h <= gamma.l * (1.0 + 1e-12)):
-        raise DomainError(
-            f"{gamma.name}: argument {h!r} outside [0, {gamma.l!r}]"
-        )
-    if h == 0.0:
-        return 0.0
-    return float(gamma.fn(min(h, gamma.l)))
+        """Gamma(h) for h in [0, l]; raises DomainError otherwise."""
+        if not (0.0 <= h <= self.l * (1.0 + 1e-12)):
+            raise DomainError(f"{self.name}: argument {h!r} outside [0, {self.l!r}]")
+        if h == 0.0:
+            return 0.0
+        return float(self.fn(min(h, self.l)))
 
 
 def _xlog(h: float) -> float:

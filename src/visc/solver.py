@@ -21,8 +21,11 @@ in each stencil value (the discrete comparison property the tests lean on)
 when a_k/dx_k + theta_k >= |dH/dp_k| at every node and dt is under the CFL
 bound.  The automatic theta is the least that satisfies this on the initial
 field with a safety factor; runs record the realised max |dH/dp_k| and report
-the smallest margin as the flag monotone_margin.  theta is fixed for a run,
-so the CFL bound is checked once per run.  The boundary ring is refreshed by
+the smallest margin as the flag monotone_margin.  The CFL bound (stable_dt)
+is read from the diagonal c_0 = -sum_k (c_up_k + c_dn_k) that the run's
+stencil folds: dt <= CFL_SAFETY / (-min c_0 + r_sup) keeps every node's own
+coefficient 1 + dt (c_0 - r) nonnegative.  theta is fixed for a run, so the
+bound is checked once per run.  The boundary ring is refreshed by
 constant extrapolation from the nearest interior node; the equation itself is
 posed on all of R^N, so truncation is ours, and accuracy is audited away from
 the reserved padding margin (GridSpec.audited_slice).
@@ -175,14 +178,15 @@ class _MonotoneStencil:
     g_k = W_up - W_dn handed to the subclass's reaction term.
 
     Work is done as rarely as its inputs change.  Once per problem: the
-    interior nodes, mu on them and every scratch buffer.  Once per run,
-    _bind folds the coefficients c_up_k, c_dn_k and c_0 for the run's theta
-    (they do not depend on t, as mu has no time argument), allocates the
-    buffers of their dt-scaled copies, and binds the field buffer the run
-    updates in place: its interior view, per axis the shifted views, scaled
-    coefficients and difference slot (none when the reaction reads no
-    gradient), and per axis the (edges, inners) view pair of the boundary
-    ring's two ends.  When the run, dt or (r(t), s(t), xi(t)) differ from
+    interior nodes, mu on them and every scratch buffer.  Once per theta,
+    _fold_for folds the coefficients c_up_k, c_dn_k and c_0 (they do not
+    depend on t, as mu has no time argument); stable_dt reads its CFL bound
+    from that c_0.  Once per run, _bind takes the fold for the run's theta,
+    allocates the buffers of their dt-scaled copies, and binds the field
+    buffer the run updates in place: its interior view, per axis the shifted
+    views, scaled coefficients and difference slot (none when the reaction
+    reads no gradient), and per axis the (edges, inners) view pair of the
+    boundary ring's two ends.  When the run, dt or (r(t), s(t), xi(t)) differ from
     the last call's, _rescale writes dt c_up_k, dt c_dn_k and the diagonal
     dt (c_0 - q) into those buffers, q being the rate the problem's
     _rebuild(t, dt, r, s, xi) returns (r for U, 0 for v) once it has
@@ -209,9 +213,7 @@ class _MonotoneStencil:
         self.diffusion = np.diag(W)
         self.x_int = grid.points()[(slice(1, -1),) * grid.dim]
         self.mu_int = model.mu.value(self.x_int)
-        b = model.bounds()
-        self.mu_sup = b["mu_sup"]
-        self.r_sup = b["r_max"]
+        self.r_sup = model.bounds()["r_max"]
         self.a_dx = self.diffusion / np.asarray(grid.dx)
         # max over nodes and steps of |dH/dp_k|, per axis: the node-wise
         # record the reaction keeps, times _slope_scale
@@ -223,6 +225,7 @@ class _MonotoneStencil:
         self._grad, self._slope = (np.moveaxis(np.zeros((grid.dim,) + shape), 0, -1)
                                    for _ in range(2))
         self._scaled_for = (None, None)
+        self._folded = (None, None)
 
     def _rescale(self, run: _Bound, t: float, dt: float) -> None:
         """Write the dt-scaled coefficients of run at t, unless the run, dt and
@@ -250,11 +253,18 @@ class _MonotoneStencil:
             c_dn.append(diff + np.maximum(-self.mu_int[..., k], 0.0) / dx)
         return (*c_up, *c_dn, -(sum(c_up) + sum(c_dn)))
 
+    def _fold_for(self, theta: Sequence[float]) -> tuple:
+        """_fold(theta), kept for the last theta folded, so that a run's CFL
+        bound and its binding read one fold (neither writes to it)."""
+        if self._folded[0] != tuple(theta):
+            self._folded = (tuple(theta), self._fold(theta))
+        return self._folded[1]
+
     def _bind(self, values: np.ndarray, theta: Sequence[float]) -> _Bound:
         """Bind the field buffer values for one run with dissipation theta,
         and clear the slope record."""
         dim = self.grid.dim
-        fold = self._fold(theta)
+        fold = self._fold_for(theta)
         scaled = tuple(np.empty(self._rate.shape) for _ in fold)
         inner = (slice(1, -1),) * dim
         axes, ring = [], []
@@ -400,7 +410,7 @@ class StraightenedProblem(_MonotoneStencil):
         u = np.linspace(*transf.u_range, 257)[:, None]
         q = 0.5 * transf.gauge.z_prime(u) / transf.gauge.z(u)
         ts = np.linspace(0.0, model.T, 33)
-        g = np.array([self.g_at(t) for t in ts]).reshape(len(ts), -1)
+        g = self.g_at(ts.reshape((-1,) + (1,) * grid.dim)).reshape(len(ts), -1)
         rate = model.r(ts) * (1.0 - u * q) - q * np.where(q > 0.0, g.min(axis=1), g.max(axis=1))
         self.r_sup = max(float(rate.max()), 0.0)
 
@@ -475,19 +485,17 @@ def estimate_theta(problem) -> tuple[float, ...]:
 
 
 def stable_dt(problem, theta: Sequence[float]) -> float:
-    """CFL bound including drift and discount contributions: with it the
-    diagonal coefficient of every node update is nonnegative.  Every run
-    reaches it first, so it refuses a theta without one entry per axis."""
-    g = problem.grid
-    if len(theta) != g.dim:
+    """CFL_SAFETY / (-min c_0 + r_sup), c_0 being the interior diagonal that
+    the stencil folds for theta: with this dt every node update's diagonal
+    coefficient 1 + dt (c_0 - r) is nonnegative, and the bound reads the
+    coefficients the kernel steps with.  Every run reaches it first, so it
+    refuses a theta without one entry per axis before folding it."""
+    dim = problem.grid.dim
+    if len(theta) != dim:
         raise ConfigurationError(
-            f"field 'theta': {len(theta)} entries for a grid of dimension {g.dim}"
+            f"field 'theta': {len(theta)} entries for a grid of dimension {dim}"
         )
-    dx = g.dx
-    denom = sum(
-        problem.diffusion[k] / dx[k] ** 2 + problem.mu_sup / dx[k] + theta[k] / dx[k]
-        for k in range(g.dim)
-    ) + problem.r_sup
+    denom = -float(np.min(problem._fold_for(theta)[-1])) + problem.r_sup
     return float(CFL_SAFETY / denom) if denom > 0.0 else CFL_SAFETY
 
 
@@ -656,7 +664,9 @@ def map_back(result: SolveResult, transf: Transformation) -> list[GridField]:
 
 
 def discrete_comparison(run_a: Sequence[GridField], run_b: Sequence[GridField]) -> CheckReport:
-    """Max over recorded times and nodes of (a - b)^+; ordering should persist."""
+    """Max over recorded times and nodes of (a - b)^+; ordering should persist.
+    worst_sample is the first recorded field and node that reach the max, so
+    a fully ordered pair reports the first recorded time."""
     run_a, run_b = list(run_a), list(run_b)
     if len(run_a) != len(run_b):
         raise ConfigurationError("runs have different numbers of recorded fields")
@@ -669,7 +679,7 @@ def discrete_comparison(run_a: Sequence[GridField], run_b: Sequence[GridField]) 
             raise ConfigurationError("runs record at different times")
         gap = fa.values - fb.values
         v = float(max(gap.max(), 0.0))
-        if v >= worst:
+        if v > worst or not worst_sample:
             worst = v
             idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
             worst_sample = {"t": fa.t, "node": [int(i) for i in idx]}

@@ -314,6 +314,19 @@ class TestSolveCommand:
         assert f"{which} file" in res.output
         assert f"field {key!r}" in res.output
 
+    def test_four_factor_bump_model_exits_one_naming_n(self, runner, tmp_path):
+        from test_mbs import four_factor_bump_model
+
+        model = write_model(tmp_path / "m.json", four_factor_bump_model())
+        grid = write_model(tmp_path / "g.json", {"box": [[-3.0, 3.0]] * 4, "nodes": [9] * 4})
+        res = runner.invoke(
+            main,
+            ["solve", "--model", model, "--grid", grid, "--out", str(tmp_path / "out"),
+             "--t-end", "0.1"],
+        )
+        assert res.exit_code == 1, res.output
+        assert "field 'N'" in res.output
+
     def test_empty_bounds_still_loads(self, runner, tmp_path):
         model = write_model(tmp_path / "m.json", constant_h_model() | {"bounds": {}})
         grid = tmp_path / "g.json"
@@ -518,6 +531,17 @@ class TestScripts:
         )
         assert out.returncode == 0, out.stderr
         assert all((tmp_path / f).is_file() for f in files), sorted(os.listdir(tmp_path))
+
+    def test_kernel_timing_prints_one_json_line(self):
+        # the timing tool reaches into the stencil's private _bind and _advance
+        out = subprocess.run(
+            [sys.executable, str(self.SCRIPTS / "kernel_timing.py"), "--repeat", "1"],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        (line,) = out.stdout.splitlines()
+        timings = {k: v for k, v in json.loads(line).items() if k.startswith(("rhs_", "step_"))}
+        assert len(timings) == 8 and all(v > 0.0 for v in timings.values()), timings
 
 
 class TestManifest:

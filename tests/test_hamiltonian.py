@@ -68,13 +68,13 @@ class TestEval:
         with pytest.raises(DomainError):
             ham.eval_hamiltonian(H, np.zeros(1), 0.0, 0.1, np.zeros(1), np.array([[0.0, 1.0]]))
 
-    def test_fixture_registry(self):
-        assert ham.fixture("example1").name == "example1"
-        assert ham.fixture("example2-power:0.4").name == "example2-power:0.4"
-        assert ham.fixture("example2-log").dim_state == 1
-        assert ham.fixture("mbs-dm2").name == "mbs-dm2"
-        with pytest.raises(DomainError):
-            ham.fixture("example3")
+    def test_fixture_constructors(self):
+        from visc import mbs
+
+        assert ham.example1().name == "example1"
+        assert ham.example2_power(0.4).name == "example2-power:0.4"
+        assert ham.example2_log().dim_state == 1
+        assert mbs.dm2_hamiltonian(mbs.default_model()).name == "mbs-dm2"
 
 
 class TestTransform:
@@ -201,10 +201,13 @@ class TestDegenerateEllipticity:
         assert not rep.passed
         assert rep.max_violation > 1e-6
 
-    @pytest.mark.parametrize("name", ["example1", "example2-power", "example2-log", "mbs-dm2"])
-    def test_fixtures_pass(self, name):
-        rep = ham.check_degenerate_ellipticity(ham.fixture(name), 800, seed=2)
-        assert rep.passed, (name, rep.max_violation)
+    @pytest.mark.parametrize("make", [ham.example1, ham.example2_power, ham.example2_log,
+                                      lambda: _batched_builtin("dm2-desk")],
+                             ids=["example1", "example2-power", "example2-log", "mbs-dm2"])
+    def test_fixtures_pass(self, make):
+        H = make()
+        rep = ham.check_degenerate_ellipticity(H, 800, seed=2)
+        assert rep.passed, (H.name, rep.max_violation)
 
     def test_dm2_difference_is_trace_identity(self):
         # linear-in-X Hamiltonian: F(X + Y) - F(X) = -tr(sigma sigma^T Y)/2,
@@ -467,7 +470,10 @@ def _batched_builtin(name):
     if name == "example1~shift-sq":
         H = ham.example1()
         return ham.transform_hamiltonian(H, transform.shift_sq_gauge(H.u_domain))
-    return ham.fixture(name)
+    if name == "example2-power:0.3":
+        return ham.example2_power(0.3)
+    return {"example1": ham.example1, "example2-power": ham.example2_power,
+            "example2-log": ham.example2_log}[name]()
 
 
 class TestBatchedEvaluation:

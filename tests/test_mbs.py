@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from visc import forms, mbs
+from visc import forms, mbs, solver, transform
 from visc.errors import ConfigurationError, DomainError, ModelError, PreconditionError
 
 
@@ -24,6 +24,18 @@ def constants_model(h0=0.0, u0=0.0, r0=0.0, tau=1.0, sigma=1.0, xi=1.0, rho=0.5,
             "U0": u_spec,
         }
     )
+
+
+def four_factor_bump_model() -> dict:
+    """The desk model on four uncorrelated factors with a gaussian-bump h."""
+    return mbs.default_model().to_dict() | {
+        "N": 4, "d": 4,
+        "sigma": {"form": "constant", "params": {"matrix": (0.3 * np.eye(4)).tolist()}},
+        "mu": {"form": "zero", "params": {}},
+        "h": {"form": "gaussian-bump",
+              "params": {"amplitude": 0.5, "center": [0.0] * 4, "width": 1.0}},
+        "U0": {"form": "zero", "params": {}},
+    }
 
 
 class TestForms:
@@ -132,6 +144,15 @@ class TestModelFile:
         cfg[key] = "x" if key != "h" else {"form": "constant", "params": {"value": "x"}}
         with pytest.raises(ConfigurationError, match=f"field '{key}'"):
             mbs.model_from_dict(cfg)
+
+    def test_four_factor_bump_refused_before_its_scan(self):
+        # the Hessian scan of a bump h would build a 41^4 mesh (about 0.8 GB)
+        cfg = four_factor_bump_model()
+        with pytest.raises(ConfigurationError, match="field 'N': 4"):
+            mbs.model_from_dict(cfg).bounds()
+        # a constant h needs no scan, so the same state dimension is bounded
+        cfg["h"] = {"form": "constant", "params": {"value": 0.1}}
+        assert mbs.model_from_dict(cfg).bounds()["lip_hess_trace_h"] == 0.0
 
     def test_negative_rho_refused(self):
         # the Hamiltonian, the barriers and the solver's denominator floor
@@ -531,12 +552,20 @@ class TestValidateModel:
         assert a == b
 
 
+def shifted_datum(m, domain, margin):
+    """u0 = U0 + h(., 0) + xi(0) on 201 nodes of [-6, 6], read back from the
+    straightened solve's initial field under a unit gauge on domain."""
+    grid = solver.GridSpec(box=((-6.0, 6.0),), nodes=(201,))
+    transf = transform.Transformation(transform.unit_gauge(domain), margin=margin)
+    return transf.psi_inverse(solver.StraightenedProblem(m, transf, grid).initial_values())
+
+
 class TestTransformedProblem:
     def test_trivial_source(self):
-        H, u0 = mbs.transformed_problem(constants_model(u0=0.2))
         # h = 0, xi = 1, r = 0: g vanishes and u0 = U0 + 1
         assert float(mbs.source_g(constants_model(), np.zeros(1), 0.3)) == 0.0
-        assert float(u0(np.zeros(1))) == pytest.approx(1.2)
+        u0 = shifted_datum(constants_model(u0=0.2), (1.0, 1.5), 0.1)
+        np.testing.assert_allclose(u0, 1.2, rtol=1e-15)
 
     def test_constant_h_source(self):
         m = constants_model(h0=0.25, tau=1.0)
@@ -606,23 +635,22 @@ class TestTransformedProblem:
 
     def test_initial_datum_above_floor(self):
         m = mbs.default_model()
-        H, u0 = mbs.transformed_problem(m)
         pair = mbs.barrier_pair(m)
         assert pair.m0 > 0.0
-        rng = np.random.default_rng(0)
-        xs = rng.uniform(-6.0, 6.0, (200, 1))
-        assert np.all(u0(xs) >= pair.m0 - 1e-12)
+        # a value below m0 / 2 would leave the gauge's margined domain and raise
+        u0 = shifted_datum(m, (pair.m0, pair.M0), 0.5 * pair.m0)
+        assert np.all(u0 >= pair.m0 - 1e-12)
 
     def test_u_domain_matches_barrier_interval(self):
         m = mbs.default_model()
-        H, _ = mbs.transformed_problem(m)
+        H = mbs.dm2_hamiltonian(m)
         pair = mbs.barrier_pair(m)
         assert H.u_domain == (pair.m0, pair.M0)
         assert H.eps0 == pytest.approx(pair.m0 / 2.0)
 
     def test_positivity_violation_raises(self):
         with pytest.raises(ModelError):
-            mbs.transformed_problem(mbs.heat_model())
+            mbs.dm2_hamiltonian(mbs.heat_model())
 
 
 class TestStructuralCandidates:

@@ -14,22 +14,22 @@ INV_E = math.exp(-1.0)
 class TestGammaEval:
     def test_xlog_at_inv_e(self):
         # the capped branch starts exactly at 1/e with value 1/e
-        assert osgood.gamma_eval(osgood.xlog(), INV_E) == pytest.approx(INV_E, abs=1e-15)
+        assert osgood.xlog()(INV_E) == pytest.approx(INV_E, abs=1e-15)
 
     def test_xlog_at_zero(self):
-        assert osgood.gamma_eval(osgood.xlog(), 0.0) == 0.0
+        assert osgood.xlog()(0.0) == 0.0
 
     def test_xlog_at_e_minus_2(self):
         # h log(1/h) at h = e^-2 is 2 e^-2
-        val = osgood.gamma_eval(osgood.xlog(), math.exp(-2.0))
+        val = osgood.xlog()(math.exp(-2.0))
         assert val == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
 
     def test_out_of_domain_raises(self):
         g = osgood.xlog()
         with pytest.raises(DomainError):
-            osgood.gamma_eval(g, -0.1)
+            g(-0.1)
         with pytest.raises(DomainError):
-            osgood.gamma_eval(g, g.l + 0.5)
+            g(g.l + 0.5)
 
     def test_catalog_identifiers(self):
         assert osgood.from_identifier("linear:0.5")(0.4) == pytest.approx(0.2)
@@ -47,7 +47,7 @@ class TestCatalogInvariants:
     )
     def test_zero_at_zero_and_nondecreasing(self, gamma):
         grid = np.linspace(0.0, gamma.l, 1000)
-        vals = np.array([osgood.gamma_eval(gamma, h) for h in grid])
+        vals = np.array([gamma(h) for h in grid])
         assert vals[0] == 0.0
         assert np.all(np.diff(vals) >= -1e-15)
 
@@ -55,7 +55,7 @@ class TestCatalogInvariants:
         # Gamma0(theta) = Gamma(sqrt(Lambda0) theta) on the shrunk domain
         g0 = osgood.scaled(osgood.xlog(), math.sqrt(2.0))
         grid = np.linspace(0.0, g0.l, 1000)
-        vals = np.array([osgood.gamma_eval(g0, h) for h in grid])
+        vals = np.array([g0(h) for h in grid])
         assert vals[0] == 0.0
         assert np.all(np.diff(vals) >= -1e-15)
         assert g0.l == pytest.approx(osgood.xlog().l / math.sqrt(2.0))
@@ -65,7 +65,7 @@ class TestCatalogInvariants:
     def test_xlog_monotone_property(self, h1, h2):
         g = osgood.xlog()
         lo, hi = sorted((h1, h2))
-        assert osgood.gamma_eval(g, lo) <= osgood.gamma_eval(g, hi) + 1e-15
+        assert g(lo) <= g(hi) + 1e-15
 
 
 class TestSupFormula:
@@ -96,7 +96,7 @@ class TestSupFormula:
     def test_matches_xlog_across_domain(self):
         g = osgood.xlog()
         for h in [1e-3, 0.05, 0.2, 0.35, 0.5, 0.8]:
-            expected = osgood.gamma_eval(g, h)
+            expected = g(h)
             val = osgood.sup_formula(h, self.INTERVAL, n_grid=2000)
             assert val == pytest.approx(expected, abs=1e-6), h
 

@@ -207,6 +207,9 @@ class TestDiscreteComparison:
         rep = solver.discrete_comparison(res.fields, res.fields)
         assert rep.passed
         assert rep.max_violation == 0.0
+        # every field ties at 0: the tie goes to the first recorded field
+        assert len(res.fields) > 1
+        assert rep.worst_sample["t"] == res.fields[0].t
 
     def test_ordered_constants_keep_exponential_gap(self):
         r0 = 0.2
@@ -754,6 +757,44 @@ class TestMonotoneCertificate:
         assert res.cfg.dt == solver.stable_dt(problem, res.cfg.theta)
         assert res.flags["monotone_margin"] >= 0.0
         assert all(f.meta["sandwich_ok"] for f in res.fields)
+
+
+class TestCflBound:
+    def test_stable_dt_reads_the_drift_node_by_node(self):
+        # mu = (0.05 sin x1, 0.05 sin x2): the bound takes the largest node-wise
+        # sum over axes, not the Euclidean sup of |mu| on every axis
+        m = model_2d()
+        grid = solver.GridSpec(box=((-4.0, 4.0),) * 2, nodes=(41, 33))
+        theta = (0.1, 0.2)
+        x = grid.points()[1:-1, 1:-1]
+        a, dx = (0.16, 0.09), grid.dx
+        total = sum(a[k] / dx[k] ** 2 + theta[k] / dx[k]
+                    + np.abs(0.05 * np.sin(x[..., k])) / dx[k] for k in range(2))
+        want = solver.CFL_SAFETY / (float(total.max()) + 0.03)
+        got = solver.stable_dt(solver.PricingProblem(m, grid), theta)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_discount_bound_matches_a_per_time_loop(self, dim):
+        # the straightened discount bound evaluates g at its 33 times in one
+        # call; the per-time loop it replaced gives the same r_sup bit for bit
+        cfg = (mbs.default_model() if dim == 1 else model_2d()).to_dict()
+        cfg.update({
+            "r": {"form": "affine", "params": {"intercept": 0.03, "slope": 0.04}},
+            "xi": {"form": "affine", "params": {"intercept": 1.0, "slope": 0.2}},
+        })
+        cfg["h"]["params"]["time_slope"] = 0.3
+        m = mbs.model_from_dict(cfg)
+        transf = affine_sq_transformation(m)
+        problem = solver.StraightenedProblem(
+            m, transf, solver.GridSpec(box=((-4.0, 4.0),) * dim, nodes=(41,) * dim))
+        u = np.linspace(*transf.u_range, 257)[:, None]
+        q = 0.5 * transf.gauge.z_prime(u) / transf.gauge.z(u)
+        ts = np.linspace(0.0, m.T, 33)
+        g = np.array([problem.g_at(t) for t in ts]).reshape(33, -1)
+        rate = m.r(ts) * (1.0 - u * q) - q * np.where(q > 0.0, g.min(axis=1), g.max(axis=1))
+        assert problem.r_sup == max(float(rate.max()), 0.0)
+        assert problem.r_sup > 0.0
 
 
 class TestBlowUp:
