@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jsonio, mbs, osgood, solver
 from .errors import BlowUpError, ConfigurationError, ModelError, ViscError
-from .forms import integer, parse_field, refuse_unknown
+from .forms import integer, parse_field, real, refuse_unknown
 from .hamiltonian import (
     check_degenerate_ellipticity,
     check_gradient_modulus,
@@ -88,7 +88,7 @@ def _load_grid(path: str) -> solver.GridSpec:
         cfg = json.load(fh)
         refuse_unknown(cfg, ("box", "nodes", "padding"))
         return solver.GridSpec(
-            box=parse_field(cfg, "box", lambda box: tuple(tuple(map(float, b)) for b in box)),
+            box=parse_field(cfg, "box", lambda box: tuple(tuple(map(real, b)) for b in box)),
             nodes=parse_field(cfg, "nodes", lambda nodes: tuple(map(integer, nodes))),
             padding=parse_field(cfg, "padding", integer, default=2),
         )
@@ -100,7 +100,7 @@ def _load_scheme(path: str, problem) -> solver.SchemeConfig:
         refuse_unknown(cfg, ("theta", "dt", "record_every"))
         theta, dt = cfg.get("theta", "auto"), cfg.get("dt", "auto")
         if theta != "auto":
-            theta = parse_field(cfg, "theta", lambda th: tuple(map(float, th)))
+            theta = parse_field(cfg, "theta", lambda th: tuple(map(real, th)))
         if dt != "auto":
             dt = parse_field(cfg, "dt")
         record_every = parse_field(cfg, "record_every", integer, default=100)

@@ -28,7 +28,14 @@ def _as_points(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def parse_field(spec: dict, key: str, convert: Callable = float, default=None):
+def real(value) -> float:
+    """value as a float, refusing JSON true and false (float(True) is 1.0)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def parse_field(spec: dict, key: str, convert: Callable = real, default=None):
     """convert applied to spec[key], or to default when one is given and the
     key is absent; a value that convert refuses is reported with its field
     name (a missing required key raises KeyError)."""
@@ -39,9 +46,11 @@ def parse_field(spec: dict, key: str, convert: Callable = float, default=None):
 
 
 def integer(value) -> int:
-    """value as an int, refusing one that is not integral (1.5, inf)."""
-    n = int(value)
-    if n != float(value):
+    """value as an int, refusing one that is not integral (1.5, inf) and a
+    JSON true or false."""
+    x = real(value)
+    n = int(x)
+    if n != x:
         raise ValueError(f"{value!r} is not an integer")
     return n
 
@@ -99,7 +108,13 @@ def time_form(spec: dict) -> TimeForm:
 
 @dataclass(frozen=True)
 class _Profile:
-    """Spatial part phi(x) with exact derivatives and global constants."""
+    """Spatial part phi(x) with exact derivatives and global constants.
+
+    lip_hess = sup over x and unit e of |D^3 phi(x)[e, e, e]| is the
+    Lipschitz constant of D^2 phi, since a symmetric trilinear form's norm
+    is its sup on the diagonal (Banach, Studia Math. 7, 1938).  For a bump
+    it is the 1D profile's: off the centre a line carries a factor <= 1.
+    """
 
     name: str
     dim: int
@@ -110,6 +125,7 @@ class _Profile:
     inf: float = 0.0
     grad_sup: float = 0.0
     lip_grad: float = 0.0
+    lip_hess: float = 0.0
     support_radius: float = 1.0
     center: np.ndarray | None = None
     params: dict = field(default_factory=dict)
@@ -161,6 +177,9 @@ def _gaussian_profile(n: int, A: float, center, width: float) -> _Profile:
         sup=A, inf=0.0,
         grad_sup=A / (width * math.sqrt(math.e)),
         lip_grad=A / w2,
+        # (3u - u^3) e^{-u^2/2}, u = |y|/w, peaks at u^2 = 3 - sqrt 6
+        lip_hess=math.sqrt(6.0 * (3.0 - math.sqrt(6.0)))
+        * math.exp(-(3.0 - math.sqrt(6.0)) / 2.0) * A / (w2 * width),
         support_radius=8.0 * width,
         center=c,
         params={"amplitude": A, "center": list(c), "width": width},
@@ -171,6 +190,7 @@ def _rational_profile(n: int, A: float, center) -> _Profile:
     if A <= 0.0:
         raise ConfigurationError("rational bump needs positive amplitude")
     c = np.asarray(center, dtype=float)
+    s2 = 1.0 - 2.0 / math.sqrt(5.0)
 
     def val(x):
         y = x - c
@@ -194,6 +214,9 @@ def _rational_profile(n: int, A: float, center) -> _Profile:
         sup=A, inf=0.0,
         grad_sup=A * 3.0 * math.sqrt(3.0) / 8.0,
         lip_grad=2.0 * A,
+        # 24 s (1 - s^2) / (1 + s^2)^4 peaks at s^2 = 1 - 2/sqrt 5; a line at
+        # distance a from the centre scales it by (1 + a^2)^(-5/2)
+        lip_hess=24.0 * A * math.sqrt(s2) * (1.0 - s2) / (1.0 + s2) ** 4,
         support_radius=30.0,
         center=c,
         params={"amplitude": A, "center": list(c)},
@@ -218,6 +241,7 @@ def _cosine_profile(n: int, A: float, wavevector) -> _Profile:
         sup=abs(A), inf=-abs(A),
         grad_sup=abs(A) * knorm,
         lip_grad=abs(A) * knorm**2,
+        lip_hess=abs(A) * knorm**3,
         support_radius=2.0 * math.pi / knorm if knorm > 0 else 1.0,
         params={"amplitude": A, "wavevector": list(k)},
     )
@@ -293,6 +317,7 @@ class FieldForm:
             "inf": min(cands),
             "grad_sup": hi * self.profile.grad_sup,
             "lip_grad": hi * self.profile.lip_grad,
+            "lip_hess": hi * self.profile.lip_hess,
             "dt_sup": abs(self.time_slope) * max(abs(self.profile.sup), abs(self.profile.inf)),
             "lip_dt": abs(self.time_slope) * self.profile.grad_sup,
         }

@@ -68,6 +68,7 @@ class MbsModel:
     # -- declared bounds -----------------------------------------------------
 
     def scan_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box that validate_model and barrier_residuals draw x from."""
         rad = max(self.h.profile.support_radius, self.U0.profile.support_radius, 4.0)
         centers = [
             p.center
@@ -77,35 +78,8 @@ class MbsModel:
         c = np.mean(centers, axis=0) if centers else np.zeros(self.dim_state)
         return c - rad, c + rad
 
-    def _lip_hess_trace_scan(self) -> float:
-        """Spatial Lipschitz constant of tr(sigma sigma^T D^2 h), by a dense
-        quotient scan of the analytic Hessian, inflated 1.3x.  The scan's
-        mesh and its N x N Hessians grow like 41^N, so N >= 4 is refused
-        before anything is allocated."""
-        if self.h.is_zero() or self.h.profile.name == "constant":
-            return 0.0
-        W = self.sigma @ self.sigma.T
-        n = self.dim_state
-        if n >= 4:
-            raise ConfigurationError(
-                f"field 'N': {n} state dimensions with a non-constant h; the scan "
-                "bounding the Lipschitz constant of tr(sigma sigma^T D^2 h) covers N <= 3"
-            )
-        per_dim = {1: 4001, 2: 161, 3: 41}[n]
-        lo, hi = self.scan_box()
-        axes = [np.linspace(lo[i], hi[i], per_dim) for i in range(n)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        tf = self.h.time_factor_range(self.T)[1]
-        tr = tf * np.einsum("ij,...ij->...", W, self.h.profile.hess(mesh))
-        worst = 0.0
-        for ax in range(n):
-            d = float(axes[ax][1] - axes[ax][0])
-            q = np.abs(np.diff(tr, axis=ax)) / d
-            worst = max(worst, float(q.max()))
-        return 1.3 * worst
-
     def bounds(self) -> dict:
-        """Analytic (or scan-derived) constants the candidate moduli rely on."""
+        """Closed-form constants the candidate moduli rely on."""
         if "bounds" in self._cache:
             return self._cache["bounds"]
         hb = self.h.bounds(self.T)
@@ -121,7 +95,6 @@ class MbsModel:
             "lip_grad_h": hb["lip_grad"],
             "lip_dt_h": hb["lip_dt"],
             "dt_h_sup": hb["dt_sup"],
-            "lip_hess_trace_h": self._lip_hess_trace_scan(),
             "u0_sup": ub["sup"],
             "u0_lip": ub["grad_sup"],
             "sigma_op": float(np.linalg.norm(self.sigma, 2)),
@@ -129,6 +102,8 @@ class MbsModel:
             "r_max": r_max,
             "xi_prime_sup": abs(self.xi.slope),
         }
+        # Lip of tr(W D^2 h): |tr(W (A - B))| <= tr(W) |A - B| for W >= 0
+        b["lip_hess_trace_h"] = b["sigma_tr"] * hb["lip_hess"]
         # sup and spatial Lipschitz constant of the source g, bounded by parts
         b["g_sup"] = (
             b["dt_h_sup"]
@@ -343,7 +318,9 @@ def barrier_pair(m: MbsModel) -> BarrierPair:
         return K0 * t + c0
 
     m0 = -refine_max(lambda t: -(k_closed(t) + m.h.inf_at(t) + m.xi(t)), 0.0, m.T, 1001)
-    sup_hxi = refine_max(lambda t: m.h.sup_at(t) + m.xi(t), 0.0, m.T, 1001)
+    # bounds() refused a time factor of h that changes sign, so sup_x h + xi
+    # is affine in t and peaks at an end of [0, T]
+    sup_hxi = max(float(m.h.sup_at(t) + m.xi(t)) for t in (0.0, m.T))
     M0 = K0 * m.T + c0 + sup_hxi
     pair = BarrierPair(lambda t: lower_barrier(m, t), k_upper, K0, c0, m0, M0)
     m._cache["barriers"] = pair
@@ -689,10 +666,14 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
     """Coefficients of the straightened equation and the constant C.
 
     For rho > 0 the Transformation of mbs_exp_gauge(m0, M0) supplies I, I'
-    and I'' on v_range = [0, v_max], where lambda1'(v) = (4 rho/m0^2)
-    I'(v) / (I'(v) + 1)^2 > 0 has its minimum at the right endpoint.  For
-    rho = 0 the equation is linear and the identity straightening is used
-    (requires h = 0 unless the value floor stays positive).
+    and I'' on v_range = [0, v_max].  With E = e^{2v/m0} >= 1 they are I =
+    m0 (E + 1)/2, I' = E and I'' = 2E/m0, so 2 rho/I, 2 rho I'/I^2,
+    |(1/(I I'))'| = 4 (2E + 1)/(m0^2 E (E + 1)^2), |(1/I')'| = 2/(m0 E) and
+    |(I/I')'| = 1/E all fall in E while I I' and I' rise: each sup and min
+    below is the value at v = 0.  lambda1'(v) = (4 rho/m0^2) E/(E + 1)^2 > 0
+    is least at v_max.  For rho = 0 the equation is linear and the identity
+    straightening is used (requires h = 0 unless the value floor stays
+    positive).
     """
     b = m.bounds()
     pair = barrier_pair(m)
@@ -708,35 +689,23 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
         T = Transformation(mbs_exp_gauge(m0, M0), 0.0)
         v_range, v_max = T.v_range, T.v_range[1]
         I, Ip = T.psi_inverse, lambda v: T.inverse_derivatives(v)[1]
-        grid = np.linspace(0.0, max(v_max, 1e-12), 10_001)
-        Iv, Ipv, Ippv = T.inverse_derivatives(grid)
         lambda1 = lambda v: m.rho * Ip(v) / I(v) - 1.0 / m0
         lambda2 = lambda v: -2.0 * m.rho / I(v)
         lam1p_min = (4.0 * m.rho / m0**2) * (Ip(v_max) / (Ip(v_max) + 1.0) ** 2)
-        sup_lambda2 = float(np.max(2.0 * m.rho / Iv))
-        sup_lambda2_prime = float(np.max(2.0 * m.rho * Ipv / Iv**2)) * 1.05
-        # v-derivative envelopes for the three pieces of f, on the grid
-        d_inv_IIp = np.abs(-(Ipv**2 + Iv * Ippv) / (Iv * Ipv) ** 2)
-        d_inv_Ip = np.abs(-Ippv / Ipv**2)
-        d_I_over_Ip = np.abs(1.0 - Iv * Ippv / Ipv**2)
+        sup_lambda2 = 2.0 * m.rho / m0
+        sup_lambda2_prime = 1.05 * 2.0 * m.rho / m0**2
         # the saturation term of f carries the risk-aversion weight: it is
         # the residue of rho |I' s^T Dv - s^T Dh|^2 / (I I') at Dv = 0
         w_sq_sup = m.rho * (sig * b["grad_h_sup"]) ** 2
-        lip_f_v = 1.05 * float(
-            np.max(
-                w_sq_sup * d_inv_IIp
-                + b["g_sup"] * d_inv_Ip
-                + b["r_max"] * d_I_over_Ip
-            )
-        )
+        # v-Lipschitz envelopes of the three pieces of f; min I I' = m0, min I' = 1
+        lip_f_v = 1.05 * (w_sq_sup * 3.0 / m0**2 + b["g_sup"] * 2.0 / m0 + b["r_max"])
         lip_f_x = (
-            2.0 * m.rho * sig**2 * b["grad_h_sup"] * b["lip_grad_h"]
-            / float(np.min(Iv * Ipv))
-            + b["g_lip"] / float(np.min(Ipv))
+            2.0 * m.rho * sig**2 * b["grad_h_sup"] * b["lip_grad_h"] / m0
+            + b["g_lip"]
         )
         lip_f = max(lip_f_x, lip_f_v)
         u_scale = 2.0 * M0 / m0 - 1.0
-        lip_v0 = (b["u0_lip"] + b["grad_h_sup"]) / 1.0  # min I' = 1 at v = 0
+        lip_v0 = b["u0_lip"] + b["grad_h_sup"]  # min I' = 1 at v = 0
         gauge_kind = "mbs-exp"
 
         def f_fn(x, t, v):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from visc import forms, mbs, solver, transform
+from visc import forms, mbs, osgood, solver, transform
 from visc.errors import ConfigurationError, DomainError, ModelError, PreconditionError
 
 
@@ -26,16 +26,24 @@ def constants_model(h0=0.0, u0=0.0, r0=0.0, tau=1.0, sigma=1.0, xi=1.0, rho=0.5,
     )
 
 
-def four_factor_bump_model() -> dict:
-    """The desk model on four uncorrelated factors with a gaussian-bump h."""
+def many_factor_bump_model(n: int) -> dict:
+    """The desk model on n uncorrelated factors with a gaussian-bump h."""
     return mbs.default_model().to_dict() | {
-        "N": 4, "d": 4,
-        "sigma": {"form": "constant", "params": {"matrix": (0.3 * np.eye(4)).tolist()}},
+        "N": n, "d": n,
+        "sigma": {"form": "constant", "params": {"matrix": (0.3 * np.eye(n)).tolist()}},
         "mu": {"form": "zero", "params": {}},
         "h": {"form": "gaussian-bump",
-              "params": {"amplitude": 0.5, "center": [0.0] * 4, "width": 1.0}},
+              "params": {"amplitude": 0.5, "center": [0.0] * n, "width": 1.0}},
         "U0": {"form": "zero", "params": {}},
     }
+
+
+PROFILE_SPECS = {
+    "gaussian-bump": lambda rng, n: {"amplitude": 0.5, "center": rng.normal(0.0, 0.5, n).tolist(),
+                                     "width": 1.2},
+    "rational-bump": lambda rng, n: {"amplitude": 0.7, "center": rng.normal(0.0, 0.5, n).tolist()},
+    "cosine": lambda rng, n: {"amplitude": -0.9, "wavevector": rng.uniform(0.5, 1.5, n).tolist()},
+}
 
 
 class TestForms:
@@ -85,6 +93,34 @@ class TestForms:
         assert vals.max() <= b["sup"] + 1e-12
         assert grads.max() <= b["grad_sup"] + 1e-12
         assert hesses.max() <= b["lip_grad"] + 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("form", sorted(PROFILE_SPECS))
+    def test_lip_hess_bounds_third_derivative_samples(self, form, n):
+        # D^3 phi(x)[e, e, e] by central differences of the analytic Hessian
+        rng = np.random.default_rng(n)
+        profile = forms.field_form({"form": form, "params": PROFILE_SPECS[form](rng, n)}, n).profile
+        if n == 1:
+            x = np.linspace(-6.0, 6.0, 24001)[:, None]
+            e = np.ones_like(x)
+        else:
+            x = rng.normal(0.0, 1.5, (20000, n))
+            e = rng.normal(0.0, 1.0, (20000, n))
+            e /= np.linalg.norm(e, axis=-1, keepdims=True)
+        eps = 1e-4
+
+        def second(y):
+            return np.einsum("...i,...ij,...j->...", e, profile.hess(y), e)
+
+        d3 = np.abs(second(x + eps * e) - second(x - eps * e)) / (2.0 * eps)
+        assert d3.max() <= profile.lip_hess * (1.0 + 1e-6)
+        if n == 1:
+            assert d3.max() >= 0.999 * profile.lip_hess
+
+    @pytest.mark.parametrize("form", ["zero", "constant"])
+    def test_flat_profiles_have_no_third_derivative(self, form):
+        params = {"value": 0.3} if form == "constant" else {}
+        assert forms.field_form({"form": form, "params": params}, 2).profile.lip_hess == 0.0
 
     def test_time_factor(self):
         f = forms.field_form(
@@ -145,14 +181,12 @@ class TestModelFile:
         with pytest.raises(ConfigurationError, match=f"field '{key}'"):
             mbs.model_from_dict(cfg)
 
-    def test_four_factor_bump_refused_before_its_scan(self):
-        # the Hessian scan of a bump h would build a 41^4 mesh (about 0.8 GB)
-        cfg = four_factor_bump_model()
-        with pytest.raises(ConfigurationError, match="field 'N': 4"):
-            mbs.model_from_dict(cfg).bounds()
-        # a constant h needs no scan, so the same state dimension is bounded
-        cfg["h"] = {"form": "constant", "params": {"value": 0.1}}
-        assert mbs.model_from_dict(cfg).bounds()["lip_hess_trace_h"] == 0.0
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_many_factor_bump_bounds_are_closed_form(self, n):
+        # tr(sigma sigma^T) = 0.09 n times the bump's sup |D^3 h|, with no mesh
+        b = mbs.model_from_dict(many_factor_bump_model(n)).bounds()
+        d3 = math.sqrt(6.0 * (3.0 - math.sqrt(6.0))) * math.exp(-(3.0 - math.sqrt(6.0)) / 2.0)
+        assert b["lip_hess_trace_h"] == pytest.approx(0.09 * n * 0.5 * d3, rel=1e-14)
 
     def test_negative_rho_refused(self):
         # the Hamiltonian, the barriers and the solver's denominator floor
@@ -413,6 +447,19 @@ class TestBarrierTable:
         assert abs(pair.c0 - c0) <= 1e-13
         assert abs(pair.m0 - m0) <= 1e-13
         assert abs(pair.M0 - M0) <= 1e-13
+
+    @pytest.mark.parametrize("h_slope, xi_slope", [(0.4, -0.3), (-0.5, 0.2)])
+    def test_M0_reads_the_endpoints_of_an_affine_sup(self, h_slope, xi_slope):
+        # sup_x h + xi is affine in t, so its sup by refine_max is an endpoint
+        m = desk_variant(
+            r={"form": "affine", "params": {"intercept": 0.02, "slope": 0.05}},
+            xi={"form": "affine", "params": {"intercept": 1.0, "slope": xi_slope}},
+            h={"form": "gaussian-bump", "params": {
+                "amplitude": 0.5, "center": [0.0], "width": 1.0, "time_slope": h_slope}})
+        pair = mbs.barrier_pair(m)
+        sup_hxi = osgood.refine_max(lambda t: m.h.sup_at(t) + m.xi(t), 0.0, m.T, 1001)
+        assert type(pair.M0) is float
+        assert pair.M0 == pair.K0 * m.T + pair.c0 + sup_hxi
 
     def test_array_domain_and_upper_barrier(self):
         m = mbs.default_model()
@@ -725,7 +772,68 @@ class TestStructuralCandidates:
         assert rep7.passed, rep7.max_violation
 
 
+def grid_regularity_constants(m):
+    """regularity_constant's constants for rho > 0 as computed before the
+    closed forms: envelopes maximised over 10,001 nodes of [0, v_max]."""
+    b, pair = m.bounds(), mbs.barrier_pair(m)
+    m0, M0, sig = pair.m0, pair.M0, b["sigma_op"]
+    T = transform.Transformation(transform.mbs_exp_gauge(m0, M0), 0.0)
+    v_max = T.v_range[1]
+    Iv, Ipv, Ippv = T.inverse_derivatives(np.linspace(0.0, max(v_max, 1e-12), 10_001))
+    sup_lambda2 = float(np.max(2.0 * m.rho / Iv))
+    sup_lambda2_prime = float(np.max(2.0 * m.rho * Ipv / Iv**2)) * 1.05
+    d_inv_IIp = np.abs(-(Ipv**2 + Iv * Ippv) / (Iv * Ipv) ** 2)
+    d_inv_Ip = np.abs(-Ippv / Ipv**2)
+    d_I_over_Ip = np.abs(1.0 - Iv * Ippv / Ipv**2)
+    w_sq_sup = m.rho * (sig * b["grad_h_sup"]) ** 2
+    lip_f_v = 1.05 * float(np.max(
+        w_sq_sup * d_inv_IIp + b["g_sup"] * d_inv_Ip + b["r_max"] * d_I_over_Ip))
+    lip_f_x = (
+        2.0 * m.rho * sig**2 * b["grad_h_sup"] * b["lip_grad_h"] / float(np.min(Iv * Ipv))
+        + b["g_lip"] / float(np.min(Ipv))
+    )
+    lip_v0 = (b["u0_lip"] + b["grad_h_sup"]) / float(np.min(Ipv))
+    M = max(lip_v0, 1e-6)
+    sup_w, lip_w = sig * b["grad_h_sup"], sig * b["lip_grad_h"]
+    lip_f = max(lip_f_x, lip_f_v)
+    E_max = float(Ipv[-1])
+    lam1p_min = (4.0 * m.rho / m0**2) * E_max / (E_max + 1.0) ** 2
+    C = mbs.constant_from_bounds(b["mu_lip"], sup_lambda2_prime, sup_w, lam1p_min,
+                                 sup_lambda2, sig, lip_w, lip_f, M)
+    return {"sup_lambda2": sup_lambda2, "sup_lambda2_prime": sup_lambda2_prime,
+            "lip_f": lip_f, "lip_f_v": lip_f_v, "lip_f_x": lip_f_x, "lip_v0": lip_v0, "C": C}
+
+
+REGULARITY_MODELS = {
+    "default": mbs.default_model,
+    "desk-wide-h": lambda: desk_variant(
+        sigma={"form": "constant", "params": {"matrix": [[0.3]]}},
+        h={"form": "gaussian-bump", "params": {"amplitude": 0.8, "center": [0.0], "width": 1.4}},
+        rho=0.9),
+    "desk-narrow-h": lambda: desk_variant(
+        sigma={"form": "constant", "params": {"matrix": [[0.5]]}},
+        h={"form": "gaussian-bump", "params": {"amplitude": 0.8, "center": [0.0], "width": 0.5}},
+        rho=1.0, tau=0.02),
+    "desk-r-above-tau": lambda: desk_variant(
+        r={"form": "constant", "params": {"value": 0.08}}, tau=0.03, rho=0.6),
+}
+
+
 class TestRegularity:
+    @pytest.mark.parametrize("name", sorted(REGULARITY_MODELS))
+    def test_closed_forms_match_the_grid(self, name):
+        m = REGULARITY_MODELS[name]()
+        if name == "desk-r-above-tau":
+            assert m.r.max_on(m.T) > m.tau
+        rd = mbs.regularity_constant(m)
+        want = grid_regularity_constants(m)
+        # a narrow h makes the x-Lipschitz part of f the larger one
+        assert (want["lip_f_x"] > want["lip_f_v"]) == (name == "desk-narrow-h")
+        for key in ("sup_lambda2", "sup_lambda2_prime", "lip_f"):
+            assert rd.constants[key] == pytest.approx(want[key], rel=1e-14, abs=0.0), key
+        assert rd.lip_v0 == pytest.approx(want["lip_v0"], rel=1e-14, abs=0.0)
+        assert rd.C == pytest.approx(want["C"], rel=1e-14, abs=0.0)
+
     def test_synthetic_constant_is_five(self):
         C = mbs.constant_from_bounds(
             lip_mu=1.0, sup_lambda2_prime=2.0, sup_w=1.0, min_lambda1_prime=1.0,
