@@ -1,20 +1,27 @@
-"""In-process cost of one right-hand side and one bound explicit step.
+"""In-process cost of one right-hand side, one bound explicit step, the
+model set-up and the field table of one `visc solve`.
 
 Prints one JSON line: microseconds per call, best of 7 repeats, of the
 public `rhs` (which binds the field on every call) and of a bound
 `_advance` (one step of a run whose field is bound once, as a march does),
 for pricing at 401 and 1601 nodes, pricing on a 101x101 grid and the
 straightened problem at 401 nodes, all on the desk model at the automatic
-scheme.  Timings depend on the host; compare them within one session.
+scheme; of `barrier_pair` on the desk model with its cache cleared, as
+every `visc solve` process pays it (`barrier_pair_desk`); and of
+`jsonio.write_csv` of the desk solve's `fields.csv` table, 201 nodes up to
+t = 0.9 (`write_csv_desk`).  Timings depend on the host; compare them
+within one session.
 
     python scripts/kernel_timing.py [--repeat 7]
 """
 
 import argparse
 import json
+import os
+import tempfile
 import timeit
 
-from visc import mbs, solver, transform
+from visc import jsonio, mbs, solver, transform
 
 BOX = (-4.0, 4.0)
 
@@ -50,6 +57,14 @@ def problems():
     }
 
 
+def desk_fields_rows():
+    """The rows `visc solve` writes to fields.csv for the desk grid."""
+    grid = solver.GridSpec(box=(BOX,), nodes=(201,))
+    result = solver.solve_problem(solver.PricingProblem(mbs.default_model(), grid), None, 0.9)
+    pts = grid.points().reshape(-1, grid.dim)
+    return [[f.t, *xk, uk] for f in result.fields for xk, uk in zip(pts, f.values.ravel())]
+
+
 def best_us(fn, number: int, repeat: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
 
@@ -68,6 +83,18 @@ def main():
         run = problem._bind(values.copy(), cfg.theta)
         out[f"step_{name}"] = best_us(lambda: problem._advance(run, 0.0, cfg.dt),
                                       number, args.repeat)
+    m = mbs.default_model()
+
+    def barrier_pair():
+        m._cache.clear()
+        mbs.barrier_pair(m)
+
+    out["barrier_pair_desk"] = best_us(barrier_pair, 20, args.repeat)
+    rows = desk_fields_rows()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fields.csv")
+        out["write_csv_desk"] = best_us(
+            lambda: jsonio.write_csv(path, ["t", "x1", "U"], rows), 20, args.repeat)
     print(json.dumps(out))
 
 

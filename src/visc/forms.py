@@ -35,6 +35,15 @@ def real(value) -> float:
     return float(value)
 
 
+def reals(value) -> np.ndarray:
+    """value, a number or nested lists of numbers, as a float array, refusing
+    a JSON true or false anywhere in it."""
+    def walk(v):
+        return [walk(u) for u in v] if isinstance(v, (list, tuple, np.ndarray)) else real(v)
+
+    return np.asarray(walk(value), dtype=float)
+
+
 def parse_field(spec: dict, key: str, convert: Callable = real, default=None):
     """convert applied to spec[key], or to default when one is given and the
     key is absent; a value that convert refuses is reported with its field
@@ -87,6 +96,10 @@ class TimeForm:
     def max_on(self, T: float) -> float:
         return float(max(self(0.0), self(T)))
 
+    def abs_max_on(self, T: float) -> float:
+        """sup of |f| on [0, T], reached at an end since f is affine."""
+        return float(max(abs(self(0.0)), abs(self(T))))
+
     def to_dict(self) -> dict:
         if self.slope == 0.0:
             return {"form": "constant", "params": {"value": self.intercept}}
@@ -96,9 +109,9 @@ class TimeForm:
 def time_form(spec: dict) -> TimeForm:
     form, params = spec["form"], spec.get("params", {})
     if form == "constant":
-        return TimeForm("constant", float(params["value"]))
+        return TimeForm("constant", real(params["value"]))
     if form == "affine":
-        return TimeForm("affine", float(params["intercept"]), float(params["slope"]))
+        return TimeForm("affine", real(params["intercept"]), real(params["slope"]))
     raise ConfigurationError(f"unknown time form {form!r}")
 
 
@@ -153,7 +166,7 @@ def _constant_profile(n: int, c: float) -> _Profile:
 def _gaussian_profile(n: int, A: float, center, width: float) -> _Profile:
     if A <= 0.0 or width <= 0.0:
         raise ConfigurationError("gaussian bump needs positive amplitude and width")
-    c = np.asarray(center, dtype=float)
+    c = reals(center)
     w2 = width * width
 
     def val(x):
@@ -189,7 +202,7 @@ def _gaussian_profile(n: int, A: float, center, width: float) -> _Profile:
 def _rational_profile(n: int, A: float, center) -> _Profile:
     if A <= 0.0:
         raise ConfigurationError("rational bump needs positive amplitude")
-    c = np.asarray(center, dtype=float)
+    c = reals(center)
     s2 = 1.0 - 2.0 / math.sqrt(5.0)
 
     def val(x):
@@ -224,7 +237,7 @@ def _rational_profile(n: int, A: float, center) -> _Profile:
 
 
 def _cosine_profile(n: int, A: float, wavevector) -> _Profile:
-    k = np.asarray(wavevector, dtype=float)
+    k = reals(wavevector)
     knorm = float(np.linalg.norm(k))
 
     def val(x):
@@ -331,27 +344,27 @@ class FieldForm:
 
 def field_form(spec: dict, dim: int) -> FieldForm:
     form, params = spec["form"], dict(spec.get("params", {}))
-    slope = float(params.pop("time_slope", 0.0))
+    slope = real(params.pop("time_slope", 0.0))
     if form == "zero":
         return FieldForm(_zero_profile(dim), slope)
     if form == "constant":
-        return FieldForm(_constant_profile(dim, float(params["value"])), slope)
+        return FieldForm(_constant_profile(dim, real(params["value"])), slope)
     if form == "gaussian-bump":
         return FieldForm(
             _gaussian_profile(
-                dim, float(params["amplitude"]),
-                params.get("center", [0.0] * dim), float(params["width"]),
+                dim, real(params["amplitude"]),
+                params.get("center", [0.0] * dim), real(params["width"]),
             ),
             slope,
         )
     if form == "rational-bump":
         return FieldForm(
-            _rational_profile(dim, float(params["amplitude"]), params.get("center", [0.0] * dim)),
+            _rational_profile(dim, real(params["amplitude"]), params.get("center", [0.0] * dim)),
             slope,
         )
     if form == "cosine":
         return FieldForm(
-            _cosine_profile(dim, float(params["amplitude"]), params["wavevector"]), slope
+            _cosine_profile(dim, real(params["amplitude"]), params["wavevector"]), slope
         )
     raise ConfigurationError(f"unknown field form {form!r}")
 
@@ -384,7 +397,7 @@ def vector_form(spec: dict, dim: int) -> VectorForm:
     if form == "zero":
         return VectorForm("zero", dim, lambda x: np.zeros(x.shape))
     if form == "constant":
-        vec = np.asarray(params["vector"], dtype=float)
+        vec = reals(params["vector"])
         if vec.shape != (dim,):
             raise ConfigurationError(f"mu constant vector must have length {dim}")
         return VectorForm(
@@ -394,8 +407,8 @@ def vector_form(spec: dict, dim: int) -> VectorForm:
             params={"vector": list(vec)},
         )
     if form == "sinusoid":
-        amp = np.asarray(params["amplitude"], dtype=float)
-        wave = np.asarray(params["wavevector"], dtype=float)
+        amp = reals(params["amplitude"])
+        wave = reals(params["wavevector"])
         if amp.shape != (dim,) or wave.shape != (dim, dim):
             raise ConfigurationError(
                 f"sinusoid mu needs amplitude ({dim},) and wavevector ({dim},{dim})"
@@ -422,7 +435,7 @@ def matrix_form(spec: dict, n: int, d: int) -> np.ndarray:
     """The constant (n, d) volatility matrix sigma."""
     form, params = spec["form"], spec.get("params", {})
     if form == "constant":
-        m = np.asarray(params["matrix"], dtype=float)
+        m = reals(params["matrix"])
         if m.shape != (n, d):
             raise ConfigurationError(f"sigma matrix must be {n}x{d}, got {m.shape}")
         if not np.isfinite(m).all():

@@ -3,6 +3,7 @@ digits so identical runs produce byte-identical artifacts."""
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -47,11 +48,22 @@ def dumps(obj) -> str:
     return _encode(obj, 0) + "\n"
 
 
+@functools.cache
+def _row_format(types: tuple) -> str:
+    """The %-format of a CSV row whose cells have these types."""
+    return ",".join("%.17g" if issubclass(t, (float, np.floating)) else "%s"
+                    for t in types) + "\n"
+
+
 def write_csv(path, header: list[str], rows) -> None:
+    """header and rows as CSV, a float cell as fmt prints it and any other
+    cell as str prints it.
+
+    Each row is one %-format, built once per tuple of cell types:
+    "%.17g" % x and fmt(x) both print float(x), and "%s" prints str(v).
+    """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row)
-                + "\n"
-            )
+            row = tuple(row)
+            fh.write(_row_format(tuple(map(type, row))) % row)

@@ -84,8 +84,6 @@ class MbsModel:
             return self._cache["bounds"]
         hb = self.h.bounds(self.T)
         ub = self.U0.bounds(self.T)
-        r_max = self.r.max_on(self.T)
-        xi_max = self.xi.max_on(self.T)
         b = {
             "mu_sup": self.mu.sup_norm,
             "mu_lip": self.mu.lip,
@@ -99,7 +97,10 @@ class MbsModel:
             "u0_lip": ub["grad_sup"],
             "sigma_op": float(np.linalg.norm(self.sigma, 2)),
             "sigma_tr": float(np.trace(self.sigma @ self.sigma.T)),
-            "r_max": r_max,
+            # signed r_max is the discount stable_dt reads; bounds on
+            # magnitudes take sup |r|
+            "r_max": self.r.max_on(self.T),
+            "r_abs_sup": self.r.abs_max_on(self.T),
             "xi_prime_sup": abs(self.xi.slope),
         }
         # Lip of tr(W D^2 h): |tr(W (A - B))| <= tr(W) |A - B| for W >= 0
@@ -109,16 +110,16 @@ class MbsModel:
             b["dt_h_sup"]
             + 0.5 * b["sigma_tr"] * b["lip_grad_h"]
             + b["mu_sup"] * b["grad_h_sup"]
-            + self.tau * max(abs(b["h_sup"]), abs(b["h_inf"]))
+            + abs(self.tau) * max(abs(b["h_sup"]), abs(b["h_inf"]))
             + b["xi_prime_sup"]
-            + r_max * xi_max
+            + b["r_abs_sup"] * self.xi.abs_max_on(self.T)
         )
         b["g_lip"] = (
             b["lip_dt_h"]
             + 0.5 * b["lip_hess_trace_h"]
             + b["mu_lip"] * b["grad_h_sup"]
             + b["mu_sup"] * b["lip_grad_h"]
-            + self.tau * b["grad_h_sup"]
+            + abs(self.tau) * b["grad_h_sup"]
         )
         self._cache["bounds"] = b
         return b
@@ -565,7 +566,7 @@ def cp7_candidates(
 
         C2 = max( 2 |sigma^T| |Dh| / m0^2,
                   2 |sigma^T|^2 |Dh|^2 lam1 M0 / (lam0 m0^2)
-                    + (r_max lam2 + |g| lam1) / (rho lam0) ).
+                    + (|r| lam2 + |g| lam1) / (rho lam0) ).
 
     The nu_hat rate bounds every term produced by off-canonical scaling
     factors; all constants are upper bounds, so a sampled violation above
@@ -586,7 +587,7 @@ def cp7_candidates(
     c2 = max(
         2.0 * sig * dh / m0**2,
         2.0 * sig**2 * dh**2 * lam1 * M0 / (lam0 * m0**2)
-        + (b["r_max"] * lam2 + b["g_sup"] * lam1) / (m.rho * lam0),
+        + (b["r_abs_sup"] * lam2 + b["g_sup"] * lam1) / (m.rho * lam0),
     )
     rate = m.rho * ((c2 * M0) ** 2 / (4.0 * lam2) + c2)
     gamma = OsgoodFunction(
@@ -595,7 +596,7 @@ def cp7_candidates(
     nu_rate = (
         (lam1 / (4.0 * lam0) + m.rho / (2.0 * math.sqrt(lam0) * m0)) * sig**2 * R
         + m.rho * sig**2 * dh**2 / (2.0 * lam0**1.5 * m0)
-        + (b["r_max"] * M0 + b["g_sup"]) / (2.0 * lam0**1.5)
+        + (b["r_abs_sup"] * M0 + b["g_sup"]) / (2.0 * lam0**1.5)
     )
     return gamma, ModulusFamily("linear", nu_rate), gauge
 
@@ -698,7 +699,7 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
         # the residue of rho |I' s^T Dv - s^T Dh|^2 / (I I') at Dv = 0
         w_sq_sup = m.rho * (sig * b["grad_h_sup"]) ** 2
         # v-Lipschitz envelopes of the three pieces of f; min I I' = m0, min I' = 1
-        lip_f_v = 1.05 * (w_sq_sup * 3.0 / m0**2 + b["g_sup"] * 2.0 / m0 + b["r_max"])
+        lip_f_v = 1.05 * (w_sq_sup * 3.0 / m0**2 + b["g_sup"] * 2.0 / m0 + b["r_abs_sup"])
         lip_f_x = (
             2.0 * m.rho * sig**2 * b["grad_h_sup"] * b["lip_grad_h"] / m0
             + b["g_lip"]
@@ -728,7 +729,7 @@ def regularity_constant(m: MbsModel, M: float | None = None) -> RegularityData:
         lam1p_min = 0.0
         sup_lambda2 = 0.0
         sup_lambda2_prime = 0.0
-        lip_f = b["g_lip"] + b["r_max"]
+        lip_f = b["g_lip"] + b["r_abs_sup"]
         u_scale = 1.0
         lip_v0 = b["u0_lip"] + b["grad_h_sup"]
         gauge_kind = "identity"

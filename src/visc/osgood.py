@@ -130,14 +130,22 @@ def refine_max(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: 
 
     fn is elementwise and every scan is one fn call.  Each zoom shrinks the
     bracket 32-fold, so ten take it from 2 (hi - lo) / (n - 1) below a
-    double's resolution.
+    double's resolution.  When the best grid point is lo or hi and the first
+    zoom, over the end cell, still peaks there, the search stops: the end
+    point is then located to that zoom's resolution, (hi - lo) / (64 (n - 1)),
+    and fn is called twice.  A maximum farther inside the end cell moves the
+    first zoom off the end, and all ten zooms run.
     """
     xs = np.linspace(lo, hi, n)
-    best = -math.inf
-    for _ in range(11):
+    best, end = -math.inf, None
+    for zoom in range(11):
         vals = fn(xs)
         k = int(np.argmax(vals))
         best = max(best, float(vals[k]))
+        if zoom == 0 and k in (0, n - 1):
+            end = xs[k]
+        elif zoom == 1 and xs[k] == end:
+            break
         xs = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)], 65)
     return best
 

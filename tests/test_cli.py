@@ -302,6 +302,13 @@ class TestSolveCommand:
         ("grid", {"padding": True}),
         ("scheme", {"record_every": True}),
         ("scheme", {"dt": True}),
+        ("model", {"h": {"form": "gaussian-bump",
+                         "params": {"amplitude": True, "center": [0.0], "width": 1.0}}}),
+        ("model", {"sigma": {"form": "constant", "params": {"matrix": [[True]]}}}),
+        ("model", {"r": {"form": "constant", "params": {"value": True}}}),
+        ("model", {"mu": {"form": "constant", "params": {"vector": [False]}}}),
+        ("model", {"U0": {"form": "cosine", "params": {"amplitude": 0.1,
+                                                        "wavevector": [True]}}}),
     ])
     def test_bad_field_exits_one_naming_it(self, runner, tmp_path, which, edit):
         # a misspelt key used to be ignored, a bad value reported without its field
@@ -546,8 +553,10 @@ class TestScripts:
         )
         assert out.returncode == 0, out.stderr
         (line,) = out.stdout.splitlines()
-        timings = {k: v for k, v in json.loads(line).items() if k.startswith(("rhs_", "step_"))}
-        assert len(timings) == 8 and all(v > 0.0 for v in timings.values()), timings
+        timings = {k: v for k, v in json.loads(line).items()
+                   if k.startswith(("rhs_", "step_", "barrier_pair_", "write_csv_"))}
+        assert len(timings) == 10 and all(v > 0.0 for v in timings.values()), timings
+        assert {"barrier_pair_desk", "write_csv_desk"} <= set(timings)
 
 
 class TestManifest:
@@ -579,3 +588,28 @@ class TestJsonio:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             jsonio.dumps({"x": object()})
+
+    @staticmethod
+    def per_value_csv(header, rows):
+        # write_csv as one format call per value
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(jsonio.fmt(v) if isinstance(v, (float, np.floating))
+                                  else str(v) for v in row))
+        return "\n".join(lines) + "\n"
+
+    def test_csv_rows_print_as_per_value_formatting(self, tmp_path):
+        rows = [
+            [0.1, np.float64(1.0 / 3.0), np.float32(0.1), 3, np.int64(-7)],
+            [True, np.bool_(False), "201", "", math.nan],
+            [math.inf, -math.inf, -0.0, 5e-324, np.float64(-1e300)],
+            # the types change from row to row, as refinement.csv's last row does
+            [201, 0.5, np.float64(0.25), "", 1e-17],
+            ["", "", 2.5, np.float32(-0.0), np.float64(math.nan)],
+            (0.1, 2, "x", np.float16(0.3), 7.0),
+            [],
+        ]
+        path = tmp_path / "t.csv"
+        header = ["a", "b", "c", "d", "e"]
+        jsonio.write_csv(path, header, rows)
+        assert path.read_bytes() == self.per_value_csv(header, rows).encode()

@@ -472,6 +472,110 @@ class TestBarrierTable:
         np.testing.assert_array_equal(pair.k_upper(ts), pair.K0 * ts + pair.c0)
 
 
+def desk_draw(seed):
+    """A desk-family model: rates, risk aversion, volatility and both bumps
+    drawn uniformly around the README desk model."""
+    rng = np.random.default_rng(seed)
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    return desk_variant(
+        sigma={"form": "constant", "params": {"matrix": [[u(0.3, 0.5)]]}},
+        r={"form": "constant", "params": {"value": u(0.01, 0.08)}},
+        tau=u(0.02, 0.08), rho=u(0.2, 1.0),
+        h={"form": "gaussian-bump", "params": {
+            "amplitude": u(0.2, 0.8), "center": [0.0], "width": u(0.7, 1.4)}},
+        U0={"form": "gaussian-bump", "params": {
+            "amplitude": u(0.1, 0.4), "center": [0.0], "width": u(1.0, 2.0)}})
+
+
+def desk_2d_model():
+    """The desk model on two factors, diffusion on both axes."""
+    return desk_variant(
+        N=2, d=2,
+        sigma={"form": "constant", "params": {"matrix": [[0.4, 0.0], [0.0, 0.3]]}},
+        mu={"form": "sinusoid", "params": {
+            "amplitude": [0.05, 0.05], "wavevector": [[1.0, 0.0], [0.0, 1.0]]}},
+        h={"form": "gaussian-bump", "params": {
+            "amplitude": 0.5, "center": [0.0, 0.0], "width": 1.0}},
+        U0={"form": "gaussian-bump", "params": {
+            "amplitude": 0.25, "center": [0.0, 0.0], "width": 1.5}})
+
+
+# desk_draw(1) has r > tau
+END_POINT_MODELS = {
+    "default": mbs.default_model,
+    "heat": mbs.heat_model,
+    "desk-2d": desk_2d_model,
+    **{f"desk-draw-{s}": (lambda s=s: desk_draw(s)) for s in (1, 2, 3, 4)},
+    **REFERENCE_MODELS,
+}
+
+
+class TestBarrierEndPoints:
+    @pytest.mark.parametrize("name", sorted(END_POINT_MODELS))
+    def test_constants_equal_the_ten_zoom_search(self, name, monkeypatch):
+        from test_osgood import ten_zoom_refine_max
+
+        m = END_POINT_MODELS[name]()
+        if name == "desk-draw-1":
+            assert m.r.max_on(m.T) > m.tau
+        pair = mbs.barrier_pair(m)
+        monkeypatch.setattr(mbs, "refine_max", ten_zoom_refine_max)
+        want = mbs.barrier_pair(END_POINT_MODELS[name]())
+        assert (pair.K0, pair.c0, pair.m0, pair.M0) == (want.K0, want.c0, want.m0, want.M0)
+
+    def test_desk_constants_take_six_scans(self, monkeypatch):
+        # c0, K0 and m0 each peak at t = 0 or t = T on the desk model
+        calls = []
+
+        def counted(fn, lo, hi, n):
+            return osgood.refine_max(lambda t: calls.append(t) or fn(t), lo, hi, n)
+
+        monkeypatch.setattr(mbs, "refine_max", counted)
+        mbs.barrier_pair(mbs.default_model())
+        assert len(calls) == 6
+
+
+def derived_constants(m):
+    """bounds(), the regularity constants and the rates of the candidate moduli."""
+    rd = mbs.regularity_constant(m)
+    out = m.bounds() | rd.constants | {"C": rd.C}
+    nu2, nu2R = mbs.cp6_candidates(m)
+    out |= {"nu2": nu2.coefficient, "nu2R": nu2R.coefficient}
+    if m.rho > 0.0:
+        gamma, nu_hat, _ = mbs.cp7_candidates(m, 2.0)
+        out |= {"gamma": gamma.fn(1.0), "nu_hat": nu_hat.coefficient}
+    return out
+
+
+class TestSignedCoefficients:
+    @pytest.mark.parametrize("rho", [0.5, 0.0])
+    def test_negative_rate_enters_as_its_magnitude(self, rho):
+        # |g| = |r xi| = 0.5 with h = 0 and xi = 1
+        m = desk_variant(r={"form": "constant", "params": {"value": -0.5}},
+                         h={"form": "zero", "params": {}}, rho=rho)
+        b = m.bounds()
+        assert b["r_max"] == -0.5
+        assert b["g_sup"] == 0.5
+        lip_f = mbs.regularity_constant(m).constants["lip_f"]
+        # m0 = 1: k_lower = 0, so Lip_v f = 1.05 (2 |g| / m0 + |r|) for rho > 0
+        assert lip_f == (1.05 * (0.5 * 2.0 + 0.5) if rho > 0.0 else 0.5)
+
+    def test_negative_tau_enters_as_its_magnitude(self):
+        b, b_neg = mbs.default_model().bounds(), desk_variant(tau=-0.06).bounds()
+        assert (b_neg["g_sup"], b_neg["g_lip"]) == (b["g_sup"], b["g_lip"])
+
+    @pytest.mark.parametrize("name", sorted(END_POINT_MODELS))
+    def test_nonnegative_rates_keep_every_constant(self, name, monkeypatch):
+        # with r >= 0, xi > 0 and tau > 0 the magnitudes are the signed values
+        m = END_POINT_MODELS[name]()
+        got = derived_constants(m)
+        monkeypatch.setattr(forms.TimeForm, "abs_max_on", forms.TimeForm.max_on)
+        assert got == derived_constants(END_POINT_MODELS[name]())
+
+
 class TestBatchedChecksMatchLoops:
     MODELS = {
         "default": mbs.default_model,
@@ -787,7 +891,7 @@ def grid_regularity_constants(m):
     d_I_over_Ip = np.abs(1.0 - Iv * Ippv / Ipv**2)
     w_sq_sup = m.rho * (sig * b["grad_h_sup"]) ** 2
     lip_f_v = 1.05 * float(np.max(
-        w_sq_sup * d_inv_IIp + b["g_sup"] * d_inv_Ip + b["r_max"] * d_I_over_Ip))
+        w_sq_sup * d_inv_IIp + b["g_sup"] * d_inv_Ip + b["r_abs_sup"] * d_I_over_Ip))
     lip_f_x = (
         2.0 * m.rho * sig**2 * b["grad_h_sup"] * b["lip_grad_h"] / float(np.min(Iv * Ipv))
         + b["g_lip"] / float(np.min(Ipv))

@@ -107,6 +107,23 @@ class TestSupFormula:
             osgood.sup_formula(0.1, self.INTERVAL, n_grid=10)
 
 
+def ten_zoom_refine_max(fn, lo, hi, n):
+    """refine_max with all ten zooms after every base scan, even when the
+    best point stays at an end of [lo, hi]."""
+    xs = np.linspace(lo, hi, n)
+    best = -math.inf
+    for _ in range(11):
+        vals = fn(xs)
+        k = int(np.argmax(vals))
+        best = max(best, float(vals[k]))
+        xs = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)], 65)
+    return best
+
+
+# the grid step of a 1001-point scan of [0, 1]
+STEP = 1e-3
+
+
 class TestRefineMax:
     @staticmethod
     def scalar_refine_max(fn, lo, hi, n):
@@ -145,6 +162,41 @@ class TestRefineMax:
         assert len(shapes) <= 12
         assert val == pytest.approx(
             self.scalar_refine_max(lambda x: float(fn(x)), *interval, 1001), rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "fn, calls",
+        [
+            (lambda x: 1.0 - x, 2),
+            (lambda x: 2.0 * x, 2),
+            (lambda x: np.zeros_like(x), 2),
+            (lambda x: np.sin(3.0 * x) * np.exp(-x), 11),
+            (lambda x: -((x - 1.0 + 0.3 * STEP) ** 2), 11),
+        ],
+        ids=["lo", "hi", "flat", "interior", "inside-end-cell"],
+    )
+    def test_stops_at_a_confirmed_end_point(self, fn, calls):
+        # an end point that the zoom over its cell keeps is final after 2 scans
+        seen = []
+
+        def spy(x):
+            seen.append(x)
+            return fn(x)
+
+        val = osgood.refine_max(spy, 0.0, 1.0, 1001)
+        assert len(seen) == calls
+        assert val == ten_zoom_refine_max(fn, 0.0, 1.0, 1001)
+
+    @pytest.mark.parametrize("at", [0.3 * STEP, 1.0 - 0.3 * STEP], ids=["lo-cell", "hi-cell"])
+    def test_finds_a_maximum_inside_the_end_cell(self, at):
+        # the base scan peaks at the end point, the first zoom moves off it
+        def fn(x):
+            return -((x - at) ** 2)
+
+        assert np.argmax(fn(np.linspace(0.0, 1.0, 1001))) in (0, 1000)
+        val = osgood.refine_max(fn, 0.0, 1.0, 1001)
+        assert val == pytest.approx(
+            self.scalar_refine_max(lambda x: float(fn(x)), 0.0, 1.0, 1001), rel=0.0, abs=1e-15)
+        assert val == ten_zoom_refine_max(fn, 0.0, 1.0, 1001)
 
 
 class TestDivergenceScore:
