@@ -1,13 +1,15 @@
 """In-process cost of one right-hand side, one bound explicit step, the
-model set-up and the field table of one `visc solve`.
+model and scheme set-up and the field table of one `visc solve`.
 
 Prints one JSON line: microseconds per call, best of 7 repeats, of the
-public `rhs` (which binds the field on every call) and of a bound
-`_advance` (one step of a run whose field is bound once, as a march does),
-for pricing at 401 and 1601 nodes, pricing on a 101x101 grid and the
-straightened problem at 401 nodes, all on the desk model at the automatic
-scheme; of `barrier_pair` on the desk model with its cache cleared, as
-every `visc solve` process pays it (`barrier_pair_desk`); and of
+public `rhs` (which binds a run on every call) and of a bound step
+(`advance` of a run bound once through the solver's private `_Run`, as a
+march does), for pricing at 401 and 1601 nodes, pricing on a 101x101 grid
+and the straightened problem at 401 nodes, all on the desk model at the
+automatic scheme; of `barrier_pair` on the desk model with its cache
+cleared, as every `visc solve` process pays it (`barrier_pair_desk`); of
+`auto_config` on a fresh 201-node desk pricing problem, the theta and dt
+set-up of a solve without a scheme file (`auto_config_desk`); and of
 `jsonio.write_csv` of the desk solve's `fields.csv` table, 201 nodes up to
 t = 0.9 (`write_csv_desk`).  Timings depend on the host; compare them
 within one session.
@@ -80,9 +82,8 @@ def main():
         number = max(20, 400_000 // values.size)
         out[f"rhs_{name}"] = best_us(lambda: problem.rhs(values, 0.0, cfg.theta),
                                      number, args.repeat)
-        run = problem._bind(values.copy(), cfg.theta)
-        out[f"step_{name}"] = best_us(lambda: problem._advance(run, 0.0, cfg.dt),
-                                      number, args.repeat)
+        run = solver._Run(problem, values.copy(), cfg.theta)
+        out[f"step_{name}"] = best_us(lambda: run.advance(0.0, cfg.dt), number, args.repeat)
     m = mbs.default_model()
 
     def barrier_pair():
@@ -90,6 +91,10 @@ def main():
         mbs.barrier_pair(m)
 
     out["barrier_pair_desk"] = best_us(barrier_pair, 20, args.repeat)
+    # one fresh problem per call, so no call reads a fold another one made
+    grid = solver.GridSpec(box=(BOX,), nodes=(201,))
+    fresh = iter([solver.PricingProblem(m, grid) for _ in range(20 * args.repeat)])
+    out["auto_config_desk"] = best_us(lambda: solver.auto_config(next(fresh)), 20, args.repeat)
     rows = desk_fields_rows()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fields.csv")

@@ -35,15 +35,16 @@ formed by one kernel from coefficients that already carry dt: per axis
 dt c_up_k and dt c_dn_k, the diagonal dt (c_0 - r) and the problem's
 dt-scaled reaction constants.  The kernel hands the reaction the raw
 differences g_k = W_up - W_dn, and the factor 1/2dx_k sits in the reaction's
-constants too.  Each run binds its field buffer to the stencil once: the
-coefficients folded for its theta, the buffers their dt-scaled copies live
-in, the views of the field every step reads and writes, and a cleared
-node-wise record of |dH/dp_k|.  The scaled copies and the time-only arrays
-(functions of r(t), s(t) and xi(t) on the nodes) are rescaled in place when
-dt or those factors differ from the last step's: once per run for a model
-constant in time, and once more for a clipped last step.  The record is
-reduced into the run's max once at its end.  A march binds once per run;
-public step and rhs bind once per call, and rhs is the kernel at dt = 1.
+constants too.  A problem holds only what depends on its model and grid;
+a run (_Run) owns everything the run changes: the coefficients folded for
+its theta, the buffers their dt-scaled copies live in and the key they were
+scaled for, the views of the field buffer every step reads and writes, its
+node-wise record of |dH/dp_k| and its clamp flags.  The scaled copies and
+the time-only arrays (functions of r(t), s(t) and xi(t) on the nodes) are
+rescaled in place when dt or those factors differ from the last step's:
+once per run for a model constant in time, and once more for a clipped
+last step.  The record is reduced into the run's max once, at its end.  A
+march binds one run; rhs binds one per call and is the kernel at dt = 1.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,43 +163,27 @@ class SchemeConfig:
 # problems
 
 
-class _Bound(NamedTuple):
-    """One run's binding of a field buffer to the stencil (see _bind)."""
-
-    W: np.ndarray
-    fold: tuple
-    scaled: tuple
-    axes: tuple
-    ring: tuple
-
-
 class _MonotoneStencil:
     """The linear monotone stencil both unknowns share: per-axis diffusion,
     upwind drift and Lax-Friedrichs dissipation, plus the raw differences
     g_k = W_up - W_dn handed to the subclass's reaction term.
 
-    Work is done as rarely as its inputs change.  Once per problem: the
-    interior nodes, mu on them and every scratch buffer.  Once per theta,
-    _fold_for folds the coefficients c_up_k, c_dn_k and c_0 (they do not
-    depend on t, as mu has no time argument); stable_dt reads its CFL bound
-    from that c_0.  Once per run, _bind takes the fold for the run's theta,
-    allocates the buffers of their dt-scaled copies, and binds the field
-    buffer the run updates in place: its interior view, per axis the shifted
-    views, scaled coefficients and difference slot (none when the reaction
-    reads no gradient), and per axis the (edges, inners) view pair of the
-    boundary ring's two ends.  When the run, dt or (r(t), s(t), xi(t)) differ from
-    the last call's, _rescale writes dt c_up_k, dt c_dn_k and the diagonal
-    dt (c_0 - q) into those buffers, q being the rate the problem's
-    _rebuild(t, dt, r, s, xi) returns (r for U, 0 for v) once it has
-    refilled its dt-scaled time-only arrays and constants.  Per step,
-    _increment_into writes dt F(W) from them, _advance adds it to W, and
-    the reaction keeps a node-wise running max of its slope in the
-    gradient; _reduce_slope folds that record into slope_sup once per run.
-    Rounding is monotone, max fl(c x) = fl(c max x), so the result equals a
-    reduction per step."""
+    A problem holds only what depends on its model and grid, each part
+    computed as rarely as its inputs change.  Once per problem: the interior
+    nodes, mu on them and every scratch buffer.  Once per theta, _fold_for
+    folds the coefficients c_up_k, c_dn_k and c_0 (they do not depend on t,
+    as mu has no time argument); stable_dt reads its CFL bound from that
+    c_0.  When (dt, r(t), s(t), xi(t)) differs from the last call's,
+    _time_arrays has the subclass's _rebuild(t, dt, r, s, xi) refill its
+    dt-scaled time-only arrays and constants and return the rate q the
+    diagonal carries (r for U, 0 for v).
+    Everything a run changes lives on its _Run, which the reaction is
+    handed: it reads the run's interior view W and writes the run's slope
+    record and clamp flags (flag_names)."""
 
     # whether the reaction reads the differences; the kernel skips them if not
     _reads_gradient = True
+    flag_names: tuple[str, ...] = ()
 
     def __init__(self, model: MbsModel, grid: GridSpec):
         if grid.dim != model.dim_state:
@@ -215,33 +200,25 @@ class _MonotoneStencil:
         self.mu_int = model.mu.value(self.x_int)
         self.r_sup = model.bounds()["r_max"]
         self.a_dx = self.diffusion / np.asarray(grid.dx)
-        # max over nodes and steps of |dH/dp_k|, per axis: the node-wise
-        # record the reaction keeps, times _slope_scale
-        self.slope_sup = np.zeros(grid.dim)
+        # |dH/dp_k| is a run's node-wise slope record times _slope_scale
         self._slope_scale = 1.0
         shape = self.x_int.shape[:-1]
         self._rate, self._tmp = np.empty(shape), np.empty(shape)
         # stored axis by axis so grad[..., k] is contiguous
-        self._grad, self._slope = (np.moveaxis(np.zeros((grid.dim,) + shape), 0, -1)
-                                   for _ in range(2))
-        self._scaled_for = (None, None)
+        self._grad = np.moveaxis(np.zeros((grid.dim,) + shape), 0, -1)
+        self._built = (None, None)
         self._folded = (None, None)
 
-    def _rescale(self, run: _Bound, t: float, dt: float) -> None:
-        """Write the dt-scaled coefficients of run at t, unless the run, dt and
-        the factors (r(t), s(t), xi(t)) are those of the last call.  The run
-        is told by its diagonal buffer, so the memo keeps no other array of a
-        finished run alive."""
+    def _time_arrays(self, t: float, dt: float) -> tuple:
+        """(key, q) for key = (dt, r(t), s(t), xi(t)) and the diagonal's rate
+        q: _rebuild refills the time-only arrays for key unless they hold it
+        already, so runs that share the problem each read their own step's
+        arrays."""
         m = self.model
         key = (dt, m.r(t), m.h.time_factor(t), m.xi(t))
-        if run.scaled[-1] is self._scaled_for[0] and key == self._scaled_for[1]:
-            return
-        self._scaled_for = (run.scaled[-1], key)
-        *coefs, c_0 = run.fold
-        *dt_coefs, dt_diag = run.scaled
-        for c, dt_c in zip(coefs, dt_coefs):
-            np.multiply(dt, c, out=dt_c)
-        np.multiply(dt, np.subtract(c_0, self._rebuild(t, *key), out=dt_diag), out=dt_diag)
+        if key != self._built[0]:
+            self._built = (key, self._rebuild(t, *key))
+        return self._built
 
     def _fold(self, theta: Sequence[float]) -> tuple:
         """(c_up_0, ..., c_dn_0, ..., c_0): c_up_k = (a_k + theta_k dx_k) / 2dx_k^2
@@ -260,70 +237,99 @@ class _MonotoneStencil:
             self._folded = (tuple(theta), self._fold(theta))
         return self._folded[1]
 
-    def _bind(self, values: np.ndarray, theta: Sequence[float]) -> _Bound:
-        """Bind the field buffer values for one run with dissipation theta,
-        and clear the slope record."""
-        dim = self.grid.dim
-        fold = self._fold_for(theta)
-        scaled = tuple(np.empty(self._rate.shape) for _ in fold)
-        inner = (slice(1, -1),) * dim
-        axes, ring = [], []
-        for k, n in enumerate(self.grid.nodes):
-            up, dn = list(inner), list(inner)
-            up[k], dn[k] = slice(2, None), slice(None, -2)
-            axes.append((values[tuple(up)], values[tuple(dn)], scaled[k], scaled[dim + k],
-                         self._grad[..., k] if self._reads_gradient else None))
-            # both ends of axis k at once: nodes 0 and n - 1 from nodes 1 and n - 2
-            head = (slice(None),) * k
-            ring.append((values[head + (slice(0, None, n - 1),)],
-                         values[head + (slice(1, n - 1, n - 3),)]))
-        self._slope.fill(0.0)
-        return _Bound(values[inner], fold, scaled, tuple(axes), tuple(ring))
-
-    def _reaction(self, W: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
-        """dt times the reaction term, from the raw differences grad."""
+    def _reaction(self, run: _Run, grad: np.ndarray, t: float) -> np.ndarray:
+        """dt times the reaction term at run.W, from the raw differences grad."""
         raise NotImplementedError
-
-    def _increment_into(self, run: _Bound, t: float, dt: float, out: np.ndarray) -> np.ndarray:
-        """dt F(W) on the interior nodes of the bound field, written into out."""
-        self._rescale(run, t, dt)
-        W, tmp = run.W, self._tmp
-        np.multiply(run.scaled[-1], W, out=out)
-        for up, dn, c_up, c_dn, g in run.axes:
-            out += np.multiply(c_up, up, out=tmp)
-            out += np.multiply(c_dn, dn, out=tmp)
-            if g is not None:
-                np.subtract(up, dn, out=g)
-        out += self._reaction(W, self._grad, t)
-        return out
-
-    def _advance(self, run: _Bound, t: float, dt: float) -> None:
-        """One explicit Euler step of the bound field, in place: the interior
-        update (the whole increment is formed first), then the boundary ring
-        copied from its inner neighbours (what np.pad's edge mode gives,
-        corners included)."""
-        np.add(run.W, self._increment_into(run, t, dt, self._rate), out=run.W)
-        for edge, inner in run.ring:
-            edge[...] = inner
-
-    def _reduce_slope(self) -> None:
-        """Reduce the node-wise slope record into slope_sup."""
-        node_max = self._slope.max(axis=tuple(range(self.grid.dim)))
-        np.maximum(self.slope_sup, self._slope_scale * node_max, out=self.slope_sup)
 
     def rhs(self, values: np.ndarray, t: float, theta: Sequence[float]) -> np.ndarray:
         """The right-hand side on the interior nodes, in a fresh array: the
         step's kernel at dt = 1."""
-        run = self._bind(values, theta)
-        out = self._increment_into(run, t, 1.0, np.empty(self._rate.shape))
-        self._reduce_slope()
+        return _Run(self, values, theta).increment_into(t, 1.0, np.empty(self._rate.shape))
+
+
+class _Run:
+    """One run of a problem: a field buffer bound to the stencil, and
+    everything the run changes.
+
+    Binding takes the fold for the run's theta, allocates the buffers of its
+    dt-scaled copies, and binds the buffer values the run updates in place:
+    its interior view W, per axis the shifted views, scaled coefficients and
+    difference slot (none when the reaction reads no gradient), and per axis
+    the (edges, inners) view pair of the boundary ring's two ends.  When the
+    key (dt, r(t), s(t), xi(t)) differs from the one its copies were scaled
+    for, increment_into writes dt c_up_k, dt c_dn_k and the diagonal
+    dt (c_0 - q) into them.  Per step, increment_into writes dt F(W), advance
+    adds it to W, and the reaction keeps in slope the node-wise running max
+    of its slope in the gradient and sets the clamp flags.  slope_max
+    reduces that record once; rounding is monotone, max fl(c x) =
+    fl(c max x), so the result equals a reduction per step.  Runs of one
+    problem share its scratch buffers and no state, so they can be stepped
+    in any order."""
+
+    def __init__(self, problem: _MonotoneStencil, values: np.ndarray, theta: Sequence[float]):
+        dim = problem.grid.dim
+        self.problem = problem
+        self.fold = problem._fold_for(theta)
+        self.scaled = tuple(np.empty(problem._rate.shape) for _ in self.fold)
+        self.key = None
+        inner = (slice(1, -1),) * dim
+        axes, ring = [], []
+        for k, n in enumerate(problem.grid.nodes):
+            up, dn = list(inner), list(inner)
+            up[k], dn[k] = slice(2, None), slice(None, -2)
+            axes.append((values[tuple(up)], values[tuple(dn)], self.scaled[k], self.scaled[dim + k],
+                         problem._grad[..., k] if problem._reads_gradient else None))
+            # both ends of axis k at once: nodes 0 and n - 1 from nodes 1 and n - 2
+            head = (slice(None),) * k
+            ring.append((values[head + (slice(0, None, n - 1),)],
+                         values[head + (slice(1, n - 1, n - 3),)]))
+        self.W, self.axes, self.ring = values[inner], tuple(axes), tuple(ring)
+        # stored axis by axis so slope[..., k] is contiguous
+        self.slope = np.moveaxis(np.zeros((dim,) + problem._rate.shape), 0, -1)
+        self.flags = dict.fromkeys(problem.flag_names, False)
+
+    def increment_into(self, t: float, dt: float, out: np.ndarray) -> np.ndarray:
+        """dt F(W) on the interior nodes of the bound field, written into out."""
+        p = self.problem
+        key, q = p._time_arrays(t, dt)
+        if key != self.key:
+            self.key = key
+            *coefs, c_0 = self.fold
+            *dt_coefs, dt_diag = self.scaled
+            for c, dt_c in zip(coefs, dt_coefs):
+                np.multiply(dt, c, out=dt_c)
+            np.multiply(dt, np.subtract(c_0, q, out=dt_diag), out=dt_diag)
+        W, tmp = self.W, p._tmp
+        np.multiply(self.scaled[-1], W, out=out)
+        for up, dn, c_up, c_dn, g in self.axes:
+            out += np.multiply(c_up, up, out=tmp)
+            out += np.multiply(c_dn, dn, out=tmp)
+            if g is not None:
+                np.subtract(up, dn, out=g)
+        out += p._reaction(self, p._grad, t)
         return out
+
+    def advance(self, t: float, dt: float) -> None:
+        """One explicit Euler step of the bound field, in place: the interior
+        update (the whole increment is formed first), then the boundary ring
+        copied from its inner neighbours (what np.pad's edge mode gives,
+        corners included)."""
+        np.add(self.W, self.increment_into(t, dt, self.problem._rate), out=self.W)
+        for edge, inner in self.ring:
+            edge[...] = inner
+
+    def slope_max(self) -> np.ndarray:
+        """Per axis, the max over nodes and steps of |dH/dp_k|."""
+        p = self.problem
+        return p._slope_scale * self.slope.max(axis=tuple(range(p.grid.dim)))
 
 
 class PricingProblem(_MonotoneStencil):
     """The pricing equation in the original unknown U; its reaction term is
     -rho |sigma^T Dc U|^2 / den - r (U + h) + tau h, of which -r U sits in
     the diagonal and (tau - r) h is the source."""
+
+    flag_names = ("denominator_clamped",)
 
     def __init__(self, model: MbsModel, grid: GridSpec):
         super().__init__(model, grid)
@@ -341,7 +347,6 @@ class PricingProblem(_MonotoneStencil):
         self._reads_gradient = model.rho > 0.0
         # h = s(t) phi(x): the profile on the interior nodes, once per problem
         self.h_phi = model.h.value(self.x_int)
-        self.flags = {"denominator_clamped": False}
         # with p_k = g_k / 2dx_k, dH/dp_k = -2 rho a_k p_k / den = -(rho a_k / dx_k) g_k / den
         # and rho a_k p_k^2 / den = (rho a_k / 4dx_k^2) g_k^2 / den: the reaction
         # records |g_k| / den, and its quadratic factors are dt times the latter
@@ -362,17 +367,17 @@ class PricingProblem(_MonotoneStencil):
         self._quad_dt = [dt * k for k in self._quad]
         return r
 
-    def _reaction(self, U: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
+    def _reaction(self, run: _Run, grad: np.ndarray, t: float) -> np.ndarray:
         if self.model.rho == 0.0:
             return self._source
         den, out, q = self._den, self._react, self._tmp
-        np.add(U, self._offset, out=den)
+        np.add(run.W, self._offset, out=den)
         if np.minimum.reduce(den, axis=None) < self.den_floor:
-            self.flags["denominator_clamped"] = True
+            run.flags["denominator_clamped"] = True
             np.maximum(den, self.den_floor, out=den)
         # dt rho |sigma^T p|^2 / den = sum_k K_k g_k q_k, q_k = g_k / den
         for ax, K in enumerate(self._quad_dt):
-            g, slope = grad[..., ax], self._slope[..., ax]
+            g, slope = grad[..., ax], run.slope[..., ax]
             np.divide(g, den, out=q)
             np.maximum(slope, np.abs(q, out=self._abs), out=slope)
             q *= g
@@ -390,6 +395,8 @@ class StraightenedProblem(_MonotoneStencil):
     dominates, and the zero-order source (r I(v) + g) / I'(v).
     """
 
+    flag_names = ("v_range_clamped",)
+
     def __init__(self, model: MbsModel, transf: Transformation, grid: GridSpec):
         super().__init__(model, grid)
         self.transf = transf
@@ -397,7 +404,6 @@ class StraightenedProblem(_MonotoneStencil):
         # h = s(t) phi(x): the spatial parts on the interior nodes, once per problem
         self.dphi_sig = model.h.grad(self.x_int) @ model.sigma
         self.g_at = source_g_on(model, self.x_int)
-        self.flags = {"v_range_clamped": False}
         # the kernel's raw differences g_k = 2dx_k p_k: sigma^T p = g^T sig_g, with the
         # rows of sigma scaled by 1/2dx_k
         self._sig_g = model.sigma / (2.0 * np.asarray(grid.dx))[:, None]
@@ -414,12 +420,14 @@ class StraightenedProblem(_MonotoneStencil):
         rate = model.r(ts) * (1.0 - u * q) - q * np.where(q > 0.0, g.min(axis=1), g.max(axis=1))
         self.r_sup = max(float(rate.max()), 0.0)
 
-    def _gauge_at(self, v: np.ndarray):
-        """(I, I', I'') at v clamped onto v_range, flagged if it moved; a NaN
-        passes this one range test and is reported by the march as a blow-up."""
+    def _gauge_at(self, run: _Run):
+        """(I, I', I'') at run.W clamped onto v_range, flagged on the run if it
+        moved; a NaN passes this one range test and is reported by the march
+        as a blow-up."""
+        v = run.W
         if (np.minimum.reduce(v, axis=None) < self.v_lo
                 or np.maximum.reduce(v, axis=None) > self.v_hi):
-            self.flags["v_range_clamped"] = True
+            run.flags["v_range_clamped"] = True
             v = np.clip(v, self.v_lo, self.v_hi, out=self._v)
         return self.transf._triple(v)
 
@@ -436,10 +444,10 @@ class StraightenedProblem(_MonotoneStencil):
         self._half_dt, self._rho_dt, self._r_dt = 0.5 * dt, self.model.rho * dt, r * dt
         return 0.0
 
-    def _reaction(self, V: np.ndarray, grad: np.ndarray, t: float) -> np.ndarray:
+    def _reaction(self, run: _Run, grad: np.ndarray, t: float) -> np.ndarray:
         m, sig = self.model, self.model.sigma
         out, tmp = self._react, self._tmp
-        u, ip, ipp = self._gauge_at(V)
+        u, ip, ipp = self._gauge_at(run)
         ratio = np.divide(ipp, ip, out=ipp)
         sp = np.dot(grad, self._sig_g, out=self._sp)
         num = np.multiply(ip[..., None], sp, out=self._num)
@@ -448,7 +456,7 @@ class StraightenedProblem(_MonotoneStencil):
         c = np.multiply(ratio[..., None], sp, out=self._c)
         c -= np.multiply(np.divide(2.0 * m.rho, u, out=tmp)[..., None], num, out=self._w)
         dH = np.dot(c, sig.T, out=self._dH)
-        np.maximum(self._slope, np.abs(dH, out=dH), out=self._slope)
+        np.maximum(run.slope, np.abs(dH, out=dH), out=run.slope)
         # dt [(I''/2I') |sigma^T p|^2 - rho |num|^2 / (u I') - (r u + g) / I']
         np.multiply(np.multiply(self._half_dt, ratio, out=ratio),
                     np.sum(np.square(sp, out=sp), axis=-1, out=out), out=out)
@@ -478,9 +486,9 @@ def estimate_theta(problem) -> tuple[float, ...]:
     fails somewhere (a degenerate axis has a_k = 0 and dH/dp_k = 0).  Runs
     re-certify it on every step they take and report the margin.
     """
-    problem.slope_sup = np.zeros(problem.grid.dim)
-    problem.rhs(problem.initial_values(), 0.0, (0.0,) * problem.grid.dim)
-    theta = np.maximum(0.0, THETA_SAFETY * problem.slope_sup - problem.a_dx)
+    run = _Run(problem, problem.initial_values(), (0.0,) * problem.grid.dim)
+    run.increment_into(0.0, 1.0, problem._rate)
+    theta = np.maximum(0.0, THETA_SAFETY * run.slope_max() - problem.a_dx)
     return tuple(float(v) for v in theta)
 
 
@@ -499,9 +507,13 @@ def stable_dt(problem, theta: Sequence[float]) -> float:
     return float(CFL_SAFETY / denom) if denom > 0.0 else CFL_SAFETY
 
 
-def auto_config(problem) -> SchemeConfig:
-    theta = estimate_theta(problem)
-    return SchemeConfig(theta=theta, dt=stable_dt(problem, theta))
+def auto_config(*problems) -> SchemeConfig:
+    """The scheme problems share: per axis the largest estimate_theta and,
+    for that theta, the smallest stable_dt.  Runs on one grid compare node
+    by node only under one dt and one theta; for one problem this is its
+    certified theta and its CFL step."""
+    theta = tuple(map(max, zip(*map(estimate_theta, problems))))
+    return SchemeConfig(theta=theta, dt=min(stable_dt(p, theta) for p in problems))
 
 
 def _check_cfl(problem, cfg: SchemeConfig):
@@ -521,21 +533,6 @@ def _check_finite(values: np.ndarray, step_no: int, t: float) -> None:
         raise BlowUpError(step_no, float(t), tuple(int(i) for i in node))
 
 
-def step(field_in: GridField, problem, cfg: SchemeConfig) -> GridField:
-    """One explicit Euler step of cfg.dt; the update is monotone in each
-    neighbour.  A step to non-finite values raises BlowUpError, as a march
-    does."""
-    if field_in.grid != problem.grid:
-        raise ConfigurationError("field grid does not match the problem grid")
-    _check_cfl(problem, cfg)
-    values = field_in.values.copy()
-    problem._advance(problem._bind(values, cfg.theta), field_in.t, cfg.dt)
-    problem._reduce_slope()
-    t = field_in.t + cfg.dt
-    _check_finite(values, 1, t)
-    return GridField(field_in.grid, t, values)
-
-
 # ---------------------------------------------------------------------------
 # runs
 
@@ -550,35 +547,34 @@ class SolveResult:
         return self.fields[-1]
 
 
-def _march(problem, start: GridField, cfg: SchemeConfig, t_end: float) -> SolveResult:
-    """Step from `start` to t_end, the last step clipped to land on it,
-    recording the start, every record_every-th step and the end.
+def _march(problem, values: np.ndarray, cfg: SchemeConfig, t_end: float) -> SolveResult:
+    """Step the field values from t = 0 to t_end, the last step clipped to
+    land on it, recording the start, every record_every-th step and the end.
 
     theta is fixed for the run and every dt_k <= cfg.dt, so one CFL check
-    covers every step.  A recorded field with non-finite values raises
-    BlowUpError.  The flags report this run alone (the problem's clamp
-    flags are reset first) and the smallest monotonicity margin
-    a_k/dx_k + theta_k - max|dH/dp_k| over axes and steps, never enforced.
+    covers every step.  The start is recorded as given and the march steps a
+    copy of it.  A recorded field with non-finite values raises BlowUpError.
+    The flags are the run's clamp flags, and the smallest monotonicity
+    margin a_k/dx_k + theta_k - max|dH/dp_k| over axes and steps, never
+    enforced.
     """
     _check_cfl(problem, cfg)
-    problem.slope_sup = np.zeros(problem.grid.dim)
-    problem.flags = dict.fromkeys(problem.flags, False)
-    fields = [start]
-    values, t = start.values.copy(), start.t
-    run = problem._bind(values, cfg.theta)
+    fields = [GridField(problem.grid, 0.0, values)]
+    values, t = values.copy(), 0.0
+    run = _Run(problem, values, cfg.theta)
     n_steps = int(math.ceil(t_end / cfg.dt - 1e-12))
     for k in range(n_steps):
         dt = min(cfg.dt, t_end - t)
-        problem._advance(run, t, dt)
+        run.advance(t, dt)
         t = t + dt
         if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
             _check_finite(values, k + 1, t)
             fields.append(GridField(problem.grid, t, values.copy()))
-    problem._reduce_slope()
-    flags = dict(problem.flags)
+    slope = run.slope_max()
+    flags = dict(run.flags)
     flags["steps"] = n_steps
-    flags["dH_dp_max"] = problem.slope_sup.tolist()
-    flags["monotone_margin"] = float(np.min(problem.a_dx + cfg.theta - problem.slope_sup))
+    flags["dH_dp_max"] = slope.tolist()
+    flags["monotone_margin"] = float(np.min(problem.a_dx + cfg.theta - slope))
     return SolveResult(fields, cfg, flags)
 
 
@@ -593,7 +589,7 @@ def _run(problem, cfg: SchemeConfig | None, t_end: float | None) -> SolveResult:
         t_end = T - cfg.dt
     if not 0.0 <= t_end < T:
         raise ConfigurationError(f"t_end = {t_end!r} must lie in [0, maturity {T!r})")
-    return _march(problem, GridField(problem.grid, 0.0, problem.initial_values()), cfg, t_end)
+    return _march(problem, problem.initial_values(), cfg, t_end)
 
 
 def _sandwich_annotate(model: MbsModel, pair, field_out: GridField):

@@ -242,7 +242,7 @@ class TestSolveCommand:
 
     def test_blow_up_exits_two(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(solver.PricingProblem, "_reaction",
-                            lambda self, U, grad, t: U * np.nan)
+                            lambda self, run, grad, t: run.W * np.nan)
         model = write_model(tmp_path / "m.json", constant_h_model())
         grid = tmp_path / "g.json"
         grid.write_text(json.dumps({"box": [[-3.0, 3.0]], "nodes": [33]}))
@@ -546,7 +546,7 @@ class TestScripts:
         assert all((tmp_path / f).is_file() for f in files), sorted(os.listdir(tmp_path))
 
     def test_kernel_timing_prints_one_json_line(self):
-        # the timing tool reaches into the stencil's private _bind and _advance
+        # the timing tool binds a run through the solver's private _Run
         out = subprocess.run(
             [sys.executable, str(self.SCRIPTS / "kernel_timing.py"), "--repeat", "1"],
             env=src_env(), capture_output=True, text=True, timeout=120,
@@ -554,9 +554,10 @@ class TestScripts:
         assert out.returncode == 0, out.stderr
         (line,) = out.stdout.splitlines()
         timings = {k: v for k, v in json.loads(line).items()
-                   if k.startswith(("rhs_", "step_", "barrier_pair_", "write_csv_"))}
-        assert len(timings) == 10 and all(v > 0.0 for v in timings.values()), timings
-        assert {"barrier_pair_desk", "write_csv_desk"} <= set(timings)
+                   if k.startswith(("rhs_", "step_", "barrier_pair_", "write_csv_",
+                                    "auto_config_"))}
+        assert len(timings) == 11 and all(v > 0.0 for v in timings.values()), timings
+        assert {"barrier_pair_desk", "write_csv_desk", "auto_config_desk"} <= set(timings)
 
 
 class TestManifest:

@@ -6,10 +6,13 @@ since u = U + h + xi stays positive by the barriers, and the source tau h
 grows with tau, since h >= 0.  So the run at the smaller rho is a
 supersolution of the equation at the larger one, and a monotone scheme that
 shares one dt and one theta across the runs orders them node by node:
-prices fall in rho and rise in tau.  Each sweep runs one SchemeConfig, the
-smallest CFL dt and the largest theta over its models, and every recorded
-field must be ordered to discrete_comparison's 1e-12.
+prices fall in rho and rise in tau.  Each sweep runs the one SchemeConfig
+auto_config gives its problems, the largest theta and for it the smallest
+CFL dt, and every recorded field must be ordered to discrete_comparison's
+1e-12.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,17 +48,10 @@ def desk_family(seed: int, dim: int) -> dict:
     return cfg
 
 
-def shared_config(problems) -> solver.SchemeConfig:
-    """The largest theta and, for it, the smallest CFL dt over problems."""
-    theta = tuple(np.max([solver.estimate_theta(p) for p in problems], axis=0).tolist())
-    dt = min(solver.stable_dt(p, theta) for p in problems)
-    return solver.SchemeConfig(theta=theta, dt=dt, record_every=1)
-
-
 def pricing_sweep(models, nodes):
     grid = solver.GridSpec(box=(BOX,) * len(nodes), nodes=nodes)
     problems = [solver.PricingProblem(m, grid) for m in models]
-    cfg = shared_config(problems)
+    cfg = replace(solver.auto_config(*problems), record_every=1)
     results = [solver.solve_problem(p, cfg, T_END) for p in problems]
     return results, [r.fields for r in results]
 
@@ -68,7 +64,8 @@ def straightened_sweep(models, n):
     transf = transform.Transformation(transform.affine_sq_gauge(2.0 / m0, 1.0, (m0, M0)),
                                       margin=0.3 * m0)
     grid = solver.GridSpec(box=(BOX,), nodes=(n,))
-    cfg = shared_config([solver.StraightenedProblem(m, transf, grid) for m in models])
+    problems = [solver.StraightenedProblem(m, transf, grid) for m in models]
+    cfg = replace(solver.auto_config(*problems), record_every=1)
     results = [solver.solve_transformed(m, transf, grid, cfg, T_END) for m in models]
     return results, [solver.map_back(r, transf) for r in results]
 

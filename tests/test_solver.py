@@ -17,6 +17,11 @@ def small_grid(n=21, width=4.0):
     return solver.GridSpec(box=((-width, width),), nodes=(n,))
 
 
+def one_step(problem, values, cfg):
+    """The field one march step of cfg.dt takes values to from t = 0."""
+    return solver._march(problem, values, cfg, cfg.dt).final().values
+
+
 class TestGridSpec:
     def test_padding_must_leave_an_audited_node(self):
         box = ((-1.0, 1.0),)
@@ -36,9 +41,8 @@ class TestStepReductions:
         grid = small_grid()
         problem = solver.PricingProblem(m, grid)
         cfg = solver.auto_config(problem)
-        f0 = solver.GridField(grid, 0.0, np.full(grid.nodes, c))
-        f1 = solver.step(f0, problem, cfg)
-        assert np.allclose(f1.values, c - cfg.dt * r0 * c, rtol=0, atol=1e-15)
+        f1 = one_step(problem, np.full(grid.nodes, c), cfg)
+        assert np.allclose(f1, c - cfg.dt * r0 * c, rtol=0, atol=1e-15)
 
     def test_constant_field_trajectory_matches_exponential(self):
         r0, c = 0.2, 0.7
@@ -77,11 +81,10 @@ class TestStepReductions:
         cfg = solver.SchemeConfig(theta=(0.0,), dt=0.01)
         slope = 0.3
         xs = grid.axes()[0]
-        f0 = solver.GridField(grid, 0.0, slope * xs)
-        f1 = solver.step(f0, problem, cfg)
+        f1 = one_step(problem, slope * xs, cfg)
         inner = slice(1, -1)
         expected = slope * xs[inner] + cfg.dt * 0.5 * slope
-        assert np.allclose(f1.values[inner], expected, rtol=0, atol=1e-14)
+        assert np.allclose(f1[inner], expected, rtol=0, atol=1e-14)
 
     def test_zero_dt_is_refused(self):
         # a step of zero length is no step: the scheme refuses it, as a march
@@ -94,11 +97,7 @@ class TestStepReductions:
         grid = small_grid(n=64, width=2 * np.pi)
         problem = solver.PricingProblem(m, grid)
         with pytest.raises(ConfigurationError, match="stability"):
-            solver.step(
-                solver.GridField(grid, 0.0, np.zeros(grid.nodes)),
-                problem,
-                solver.SchemeConfig(theta=(0.0,), dt=1.0),
-            )
+            one_step(problem, np.zeros(grid.nodes), solver.SchemeConfig(theta=(0.0,), dt=1.0))
 
 
 class TestSolveOracles:
@@ -167,11 +166,11 @@ class TestMonotonicity:
             vals = rng.uniform(pair.m0 - 0.3, pair.M0 + 0.3, grid.nodes)
             i = int(rng.integers(1, grid.nodes[0] - 1))
             j = i + int(rng.choice([-1, 0, 1]))
-            base = solver.step(solver.GridField(grid, 0.0, vals), problem, cfg)
+            base = one_step(problem, vals, cfg)
             bumped_vals = vals.copy()
             bumped_vals[j] += delta
-            bumped = solver.step(solver.GridField(grid, 0.0, bumped_vals), problem, cfg)
-            assert bumped.values[i] - base.values[i] >= -1e-12
+            bumped = one_step(problem, bumped_vals, cfg)
+            assert bumped[i] - base[i] >= -1e-12
 
 
 class TestStraightenedMonotonicity:
@@ -192,11 +191,11 @@ class TestStraightenedMonotonicity:
             vals = rng.uniform(v_lo + 0.05, v_hi - 0.05, grid.nodes)
             i = int(rng.integers(1, grid.nodes[0] - 1))
             j = i + int(rng.choice([-1, 0, 1]))
-            base = solver.step(solver.GridField(grid, 0.0, vals), problem, cfg)
+            base = one_step(problem, vals, cfg)
             bumped_vals = vals.copy()
             bumped_vals[j] += delta
-            bumped = solver.step(solver.GridField(grid, 0.0, bumped_vals), problem, cfg)
-            assert bumped.values[i] - base.values[i] >= -1e-12
+            bumped = one_step(problem, bumped_vals, cfg)
+            assert bumped[i] - base[i] >= -1e-12
 
 
 class TestDiscreteComparison:
@@ -803,9 +802,9 @@ class TestBlowUp:
         calls = []
         reaction = solver.PricingProblem._reaction
 
-        def poisoned(self, U, grad, t):
+        def poisoned(self, run, grad, t):
             calls.append(t)
-            out = reaction(self, U, grad, t)
+            out = reaction(self, run, grad, t)
             if len(calls) >= 3:
                 out[19] = np.nan  # interior index 19 is grid node 20
             return out
@@ -829,9 +828,9 @@ class TestBlowUp:
         calls = []
         reaction = solver.StraightenedProblem._reaction
 
-        def poisoned(self, V, grad, t):
+        def poisoned(self, run, grad, t):
             calls.append(t)
-            out = reaction(self, V, grad, t)
+            out = reaction(self, run, grad, t)
             if len(calls) == 3:
                 out[99] = np.nan  # interior index 99 is grid node 100
             return out
@@ -871,9 +870,9 @@ def _kernel_case(name):
 
 
 class TestInPlaceKernel:
-    """solve marches in one reused buffer and copies the fields it records;
-    public step copies per call.  Both go through the one kernel, so their
-    fields agree bit for bit."""
+    """solve marches in one reused buffer and copies the fields it records.
+    A run bound afresh on a copy for every step goes through the same
+    kernel, so their fields agree bit for bit."""
 
     @pytest.mark.parametrize("case", ["pricing-201", "pricing-2d", "straightened-101",
                                       "pricing-time", "straightened-time"])
@@ -889,20 +888,26 @@ class TestInPlaceKernel:
             result = solver.solve_transformed(problem.model, problem.transf, problem.grid,
                                               cfg=cfg, t_end=t_end)
         stepper = _kernel_case(case)
-        f = solver.GridField(stepper.grid, 0.0, stepper.initial_values())
-        fields = [f]
+        values, t = stepper.initial_values(), 0.0
+        fields, slopes = [(t, values)], []
+        flags = dict.fromkeys(stepper.flag_names, False)
         n_steps = result.flags["steps"]
         for k in range(n_steps):
-            f = solver.step(f, stepper, replace(cfg, dt=min(cfg.dt, t_end - f.t)))
+            values = values.copy()
+            run = solver._Run(stepper, values, cfg.theta)
+            dt = min(cfg.dt, t_end - t)
+            run.advance(t, dt)
+            t = t + dt
+            slopes.append(run.slope_max())
+            flags = {key: flag or run.flags[key] for key, flag in flags.items()}
             if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-                fields.append(f)
+                fields.append((t, values))
         assert len(result.fields) == len(fields) > 3
-        assert [g.t for g in result.fields] == [g.t for g in fields]
-        for got, want in zip(result.fields, fields):
-            assert np.array_equal(got.values, want.values)
-        assert result.flags["dH_dp_max"] == stepper.slope_sup.tolist()
-        for key, flag in stepper.flags.items():
-            assert result.flags[key] == flag
+        assert [g.t for g in result.fields] == [t for t, _ in fields]
+        for got, (_, want) in zip(result.fields, fields):
+            assert np.array_equal(got.values, want)
+        assert result.flags["dH_dp_max"] == np.max(slopes, axis=0).tolist()
+        assert flags and all(result.flags[key] == flag for key, flag in flags.items())
         for i, a in enumerate(result.fields):
             for b in result.fields[i + 1:]:
                 assert not np.shares_memory(a.values, b.values)
@@ -945,13 +950,12 @@ class TestInPlaceKernel:
         pricing = _kernel_case("pricing-201")
         low = np.full(pricing.grid.nodes, -float(pricing.model.xi(0.0)))
         cfg = solver.auto_config(pricing)
-        res = solver._march(pricing, solver.GridField(pricing.grid, 0.0, low), cfg, 5 * cfg.dt)
+        res = solver._march(pricing, low, cfg, 5 * cfg.dt)
         assert res.flags["denominator_clamped"]
         straightened = _kernel_case("straightened-101")
         high = np.full(straightened.grid.nodes, straightened.v_hi + 0.1)
         cfg = solver.auto_config(straightened)
-        res = solver._march(straightened, solver.GridField(straightened.grid, 0.0, high),
-                            cfg, 5 * cfg.dt)
+        res = solver._march(straightened, high, cfg, 5 * cfg.dt)
         assert res.flags["v_range_clamped"]
 
     def test_flags_report_one_run(self):
@@ -959,35 +963,68 @@ class TestInPlaceKernel:
         pricing = _kernel_case("pricing-201")
         cfg = solver.auto_config(pricing)
         low = np.full(pricing.grid.nodes, -float(pricing.model.xi(0.0)))
-        first = solver._march(pricing, solver.GridField(pricing.grid, 0.0, low), cfg, 5 * cfg.dt)
-        start = solver.GridField(pricing.grid, 0.0, pricing.initial_values())
-        second = solver._march(pricing, start, cfg, 5 * cfg.dt)
+        first = solver._march(pricing, low, cfg, 5 * cfg.dt)
+        second = solver._march(pricing, pricing.initial_values(), cfg, 5 * cfg.dt)
         assert first.flags["denominator_clamped"]
         assert second.flags["denominator_clamped"] is False
 
+    @pytest.mark.parametrize("case", ["pricing-201", "pricing-time"])
+    def test_runs_of_one_problem_share_no_state(self, case):
+        # two runs bound to one problem and stepped in turn, one below the
+        # denominator floor (it clamps) and one from U0 (it does not), at two
+        # dt, so each step follows the other run's rescale: each run's fields,
+        # flags and slope record equal those of its march alone
+        from dataclasses import replace
+
+        problem = _kernel_case(case)
+        cfg = replace(solver.auto_config(problem), record_every=1)
+        low = np.full(problem.grid.nodes, -float(problem.model.xi(0.0)))
+        cases = [(low, cfg), (problem.initial_values(), replace(cfg, dt=0.5 * cfg.dt))]
+        n = 20
+        alone = [solver._march(problem, start, c, n * c.dt) for start, c in cases]
+        assert [a.flags["denominator_clamped"] for a in alone] == [True, False]
+        buffers = [start.copy() for start, _ in cases]
+        runs = [solver._Run(problem, buf, c.theta) for buf, (_, c) in zip(buffers, cases)]
+        ts = [0.0, 0.0]
+        for k in range(n):
+            for i, (run, (_, c), want) in enumerate(zip(runs, cases, alone)):
+                dt = min(c.dt, n * c.dt - ts[i])
+                run.advance(ts[i], dt)
+                ts[i] = ts[i] + dt
+                assert ts[i] == want.fields[k + 1].t
+                assert np.array_equal(buffers[i], want.fields[k + 1].values)
+        for run, want in zip(runs, alone):
+            assert run.slope_max().tolist() == want.flags["dH_dp_max"]
+            assert run.flags == {"denominator_clamped": want.flags["denominator_clamped"]}
+
 
 class TestBoundRun:
-    """A solve binds its field buffer once; a public step fails like a march."""
+    """A solve binds its field buffer once; a one-step march that blows up
+    names the blow-up."""
 
     @pytest.mark.parametrize("case", ["pricing-201", "straightened-101"])
     def test_solve_folds_and_binds_once(self, case, monkeypatch):
         problem = _kernel_case(case)
         cls = type(problem)
-        calls = {"_fold": 0, "_bind": 0}
+        calls = {"_fold": 0, "_Run": 0}
         runs = []
-        for name in calls:
-            def counted(self, *args, _name=name, _orig=getattr(cls, name)):
-                calls[_name] += 1
-                return _orig(self, *args)
+        fold, bind, advance = cls._fold, solver._Run.__init__, solver._Run.advance
 
-            monkeypatch.setattr(cls, name, counted)
-        advance = cls._advance
+        def fold_counted(self, theta):
+            calls["_fold"] += 1
+            return fold(self, theta)
 
-        def advance_seen(self, run, t, dt):
-            runs.append(run)
-            return advance(self, run, t, dt)
+        def bind_counted(self, *args):
+            calls["_Run"] += 1
+            bind(self, *args)
 
-        monkeypatch.setattr(cls, "_advance", advance_seen)
+        def advance_seen(self, t, dt):
+            runs.append(self)
+            advance(self, t, dt)
+
+        monkeypatch.setattr(cls, "_fold", fold_counted)
+        monkeypatch.setattr(solver._Run, "__init__", bind_counted)
+        monkeypatch.setattr(solver._Run, "advance", advance_seen)
         cfg = solver.SchemeConfig(theta=(0.0,), dt=1e-3)
         if isinstance(problem, solver.PricingProblem):
             res = solver.solve(problem.model, problem.grid, cfg=cfg, t_end=0.1)
@@ -995,7 +1032,7 @@ class TestBoundRun:
             res = solver.solve_transformed(problem.model, problem.transf, problem.grid,
                                            cfg=cfg, t_end=0.1)
         assert res.flags["steps"] == 100
-        assert calls == {"_fold": 1, "_bind": 1}
+        assert calls == {"_fold": 1, "_Run": 1}
         assert len(runs) == 100 and all(run is runs[0] for run in runs)
 
     def test_step_blow_up_is_not_a_configuration_error(self):
@@ -1003,18 +1040,18 @@ class TestBoundRun:
         cfg = solver.auto_config(problem)
         values = problem.initial_values()
         values[100] = 1e300
-        f = solver.GridField(problem.grid, 0.25, values)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
-            solver.step(f, problem, cfg)
+            solver._march(problem, values, cfg, cfg.dt)
         assert info.value.step == 1
-        assert info.value.t == 0.25 + cfg.dt
+        assert info.value.t == cfg.dt
         # the squared gradient overflows at the seeded node's neighbours, 99 first
         assert info.value.node == (99,)
 
 
 class TestTimeArrays:
-    """The time-only arrays of a step are rebuilt when r(t), s(t), xi(t) or
-    the run's bound coefficients change, and a bound step allocates no array."""
+    """The time-only arrays of a step and a run's scaled coefficients are
+    rebuilt when dt, r(t), s(t) or xi(t) change, and a bound step allocates
+    no array."""
 
     @staticmethod
     def _want(problem, values, t):
@@ -1038,10 +1075,10 @@ class TestTimeArrays:
         grid = small_grid(n=41)
         problem = solver.PricingProblem(time_model(), grid)
         values = problem.initial_values() + 0.1 * np.sin(grid.points()[..., 0])
-        run = problem._bind(values, (0.0,))
+        run = solver._Run(problem, values, (0.0,))
         for t in (0.1, 0.7):
             if bound:
-                got = problem._increment_into(run, t, 1.0, np.empty(grid.nodes[0] - 2))
+                got = run.increment_into(t, 1.0, np.empty(grid.nodes[0] - 2))
             else:
                 got = problem.rhs(values, t, (0.0,))
             assert np.max(np.abs(got - self._want(problem, values, t))) <= 1e-13
@@ -1055,12 +1092,12 @@ class TestTimeArrays:
         grid = small_grid(n=41)
         problem = solver.PricingProblem(model, grid)
         values = problem.initial_values() + 0.1 * np.sin(grid.points()[..., 0])
-        run = problem._bind(values, (0.0,))
+        run = solver._Run(problem, values, (0.0,))
         problem._grad.fill(np.nan)
         scale = problem.diffusion[0] / grid.dx[0] ** 2
         for t, dt in ((0.1, 0.01), (0.7, 0.004), (0.7, 0.007)):
             want = values[1:-1] + dt * self._want(problem, values, t)
-            problem._advance(run, t, dt)
+            run.advance(t, dt)
             assert np.max(np.abs(values[1:-1] - want)) <= 1e-13 * scale
             assert values[0] == values[1] and values[-1] == values[-2]
         assert np.isnan(problem._grad).all() == (case == "heat")
@@ -1083,11 +1120,11 @@ class TestTimeArrays:
                                          ("time", time_model(), 401, (1.0, 0.5))):
             problem = solver.PricingProblem(model, small_grid(n=n))
             cfg = solver.auto_config(problem)
-            run = problem._bind(problem.initial_values(), cfg.theta)
+            run = solver._Run(problem, problem.initial_values(), cfg.theta)
             tracemalloc.start()
             try:
                 for k in range(20):
-                    problem._advance(run, k * cfg.dt, cfg.dt * dt_scale[k % len(dt_scale)])
+                    run.advance(k * cfg.dt, cfg.dt * dt_scale[k % len(dt_scale)])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
